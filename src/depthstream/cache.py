@@ -1,10 +1,10 @@
 """Sliding-window stores of past latent features.
 
 Latents are cached before positional encoding and before the K/V
-projections, so keys and values are recomputed each step with fresh
-window-relative positions. A CacheBank rotates frames across several
-caches to simulate a longer temporal context at the same memory cost per
-cache.
+projections; each step the attention kernel folds the window-relative
+positions into its scores and context (see motion.py). A CacheBank
+rotates frames across several caches to simulate a longer temporal
+context at the same memory cost per cache.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class FeatureCache:
     def __len__(self):
         return len(self._entries)
 
-    @property
-    def newest_index(self) -> int | None:
-        return self._entries[-1][0] if self._entries else None
-
     def push_evict(self, frame_index: int, latent: np.ndarray) -> int | None:
         """Append a latent; evict and return the oldest index when full."""
         if self._entries and frame_index <= self._entries[-1][0]:
@@ -63,9 +59,10 @@ class FeatureCache:
         self._entries.append((frame_index, _store(latent, self.precision)))
         return evicted
 
-    def window(self) -> list[np.ndarray]:
-        """Read-only snapshot of stored latents, oldest to newest."""
-        return [lat.astype(np.float32) for _, lat in self._entries]
+    def window(self) -> np.ndarray:
+        """Snapshot of the stored latents, oldest to newest, as one float32
+        [w, ...] array (one stack and, for fp16, one upcast)."""
+        return np.array([lat for _, lat in self._entries], dtype=np.float32)
 
     def indices(self) -> list[int]:
         return [idx for idx, _ in self._entries]
@@ -131,7 +128,7 @@ class CacheBank:
     def active_cache(self, frame_index: int) -> FeatureCache:
         return self.caches[self.route(frame_index)]
 
-    def window(self, frame_index: int) -> list[np.ndarray]:
+    def window(self, frame_index: int) -> np.ndarray:
         """Window of the cache serving the given frame."""
         return self.active_cache(frame_index).window()
 

@@ -137,7 +137,7 @@ def _infer_common(args, streaming: bool) -> int:
         else:
             with finite_checks(False):
                 t0 = time.perf_counter()
-                preds = list(model.forward_batch(rgb))
+                preds = list(model.forward_batch(rgb, context=args.context))
                 total_ms = (time.perf_counter() - t0) * 1e3
             latencies = [total_ms / len(preds)] * len(preds)
             footprint = 0
@@ -164,6 +164,10 @@ def cmd_stream(args) -> int:
 
 
 def cmd_infer_batch(args) -> int:
+    if args.caches != 1 or args.precision != "fp32":
+        print("error: --caches and --precision fp16 apply to stream only",
+              file=sys.stderr)
+        return USAGE_ERROR
     return _infer_common(args, streaming=False)
 
 

@@ -159,6 +159,8 @@ class DepthModel:
         feats = features if isinstance(features, Tensor) else T.constant(features)
         n = feats.shape[0]
         c = self.cfg.context if context is None else context
+        if c > self.cfg.context:
+            raise ValueError("context cannot exceed the model's position table")
         mask = WindowedMask(band=c, frames=n)
         h = T.linear(feats, self.w_in, self.b_in)
         for blk, mm in zip(self.blocks, self.motions):
@@ -166,9 +168,10 @@ class DepthModel:
             h = motion_module_forward_batch(h, mask, mm)
         return self._readout(h, n)
 
-    def forward_batch(self, rgb_seq: np.ndarray) -> np.ndarray:
+    def forward_batch(self, rgb_seq: np.ndarray,
+                      context: int | None = None) -> np.ndarray:
         return self.head_forward_batch(
-            self.encoder.encode_sequence(rgb_seq)).data
+            self.encoder.encode_sequence(rgb_seq), context).data
 
     def new_session(self, context: int | None = None,
                     cache_modulus: int | None = None,
@@ -203,15 +206,18 @@ class StreamingSession:
 
     def head_forward_stream(self, features) -> np.ndarray:
         """Features of ONE frame [S, C_enc] -> [H, W] inverse depth."""
-        feats = features if isinstance(features, Tensor) else T.constant(features)
-        if feats.data.ndim != 2:
+        feats = features.data if isinstance(features, Tensor) else \
+            np.asarray(features)
+        if feats.ndim != 2:
             raise SessionMisuse("stream step takes a single frame")
-        h = T.linear(feats, self.model.w_in, self.model.b_in)
+        # one frame, token-major [S, 1, C]: the attention kernel's layout
+        h = T.linear(T.constant(feats[:, None]), self.model.w_in,
+                     self.model.b_in)
         for blk, mm, bank in zip(self.model.blocks, self.model.motions,
                                  self.banks):
             h = blk.forward(h)
             h = motion_module_forward_stream(h, self.t, bank, mm)
-        out = self.model._readout(T.reshape(h, (1, *h.shape)), 1)
+        out = self.model._readout(h, 1)
         self.t += 1
         return out.data[0]
 

@@ -2,14 +2,16 @@
 
 Training runs batched attention under a banded lower-triangular mask of
 width c; streaming runs cached cross-attention against a sliding window of
-at most c past latents. Both paths share one windowed-attention kernel, so
-their outputs agree frame for frame. Latents enter the cache after layer
-norm but before positional encoding; keys and values are recomputed every
-step because ages are window-relative (age 0 = current frame).
+at most c past latents. Both run one banded attention kernel, so their
+outputs agree frame for frame. Latents enter the cache after layer norm
+but before positional encoding; ages are window-relative (age 0 = current
+frame) and fold into the scores and context, as the encoding is added
+before the key and value projections.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +23,6 @@ from .tensor import Tensor
 __all__ = [
     "MotionModuleParams",
     "WindowedMask",
-    "reorder_temporal",
-    "reorder_spatial",
-    "positional_encode",
     "attend_streaming",
     "attend_batch_masked",
     "motion_module_forward_batch",
@@ -47,7 +46,7 @@ class MotionModuleParams:
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
+    bk: Tensor  # kept in checkpoints; it cancels in the softmax (see _attend)
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -94,115 +93,107 @@ class WindowedMask:
     band: int
     frames: int
 
-    def admissible(self, q: int, k: int) -> bool:
-        return 0 <= q - k < self.band
-
     def matrix(self) -> np.ndarray:
         q = np.arange(self.frames)[:, None]
         k = np.arange(self.frames)[None, :]
         return (q - k >= 0) & (q - k < self.band)
 
 
-def reorder_temporal(x: Tensor) -> Tensor:
-    """Frame-major [N, S, C] -> token-major [S, N, C]."""
-    return T.transpose(x, (1, 0, 2))
+@functools.lru_cache(maxsize=64)
+def _band_tables(nq: int, nk: int, band: int):
+    """The kernel's tables for nq queries at key positions nk-nq..nk-1:
+    the ages in use, the index gathering each (query, key) position score
+    from [S, nq, ages], the additive band mask (None if all are visible)
+    and the index gathering each (query, age) weight from [S, nq, nk]."""
+    ages = min(band, nk)
+    rows = np.arange(nq)[:, None]
+    pos = np.arange(nk - nq, nk)[:, None]
+    age = pos - np.arange(nk)
+    visible = (age >= 0) & (age < band)
+    score_idx = (slice(None), rows, np.where(visible, age, 0))
+    mask = None if visible.all() else np.where(visible, 0.0, -1e30)
+    key = pos - np.arange(ages)
+    # an age older than the first key reads the next key, which lies in
+    # the future, so its weight is exactly 0
+    ctx_idx = (slice(None), rows, np.where(key >= 0, key, pos + 1))
+    return ages, score_idx, mask, ctx_idx
 
 
-def reorder_spatial(x: Tensor) -> Tensor:
-    """Token-major [S, N, C] -> frame-major [N, S, C] (inverse reorder)."""
-    return T.transpose(x, (1, 0, 2))
+def _attend(query: Tensor, keys: Tensor, band: int,
+            params: MotionModuleParams) -> Tensor:
+    """The attention kernel of both modes: query [S, Nq, C] holds the
+    latents at positions Nk-Nq..Nk-1 of keys [S, Nk, C] (post layer-norm,
+    no PE); key j is visible at position p iff its age p - j is < band.
 
-
-def positional_encode(latent, age: int, params: MotionModuleParams):
-    """Add the position-table row for a window-relative age to every token."""
-    if age >= params.context or age < 0:
-        raise ValueError(f"age {age} outside [0, {params.context - 1}]")
-    return T.add(latent, params.pe_table[age])
-
-
-def _attend_window(query, window, params: MotionModuleParams):
-    """Shared windowed-attention kernel.
-
-    query: [S, C] latent of the current frame (post layer-norm, no PE).
-    window: list of [S, C] latents oldest -> newest, newest == current
-    frame. Keys/values are positionally encoded with age (w-1)-position
-    and projected fresh. Returns the projected attention output [S, C]
-    (the residual is added by the caller).
+    With k_j = (x_j + pe[age_j]) Wk + bk, a score is (q Wk^T).x_j +
+    (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
+    the context is (sum_j a_j x_j + sum_j a_j pe[age_j]) Wv + bv, so no
+    latent is projected to K or V. Returns [S, Nq, C] before the residual.
     """
-    w = len(window)
-    channels = query.shape[-1]
-    q = T.linear(query, params.wq, params.bq)  # [S, C]
-    stacked = T.stack(window, axis=0)          # [w, S, C] oldest->newest
-    ages = np.arange(w - 1, -1, -1)            # age per position
-    pe = params.pe_table[ages]                 # [w, C]
-    kv_in = T.add(stacked, T.reshape(pe, (w, 1, channels)))
-    k = T.linear(kv_in, params.wk, params.bk)  # [w, S, C]
-    v = T.linear(kv_in, params.wv, params.bv)
-    # per spatial token: scores over the w window frames
-    q_b = T.reshape(q, (q.shape[0], 1, channels))        # [S, 1, C]
-    k_b = T.transpose(k, (1, 2, 0))                      # [S, C, w]
-    scores = T.mul(T.bmm(q_b, k_b), 1.0 / np.sqrt(channels))  # [S, 1, w]
+    _, nq, channels = query.shape
+    ages, score_idx, mask, ctx_idx = _band_tables(nq, keys.shape[1], band)
+    pe = params.pe_table if ages == params.pe_table.shape[0] else \
+        params.pe_table[:ages]
+    q = T.linear(query, params.wq, params.bq)
+    qk = T.mul(T.matmul(q, T.transpose(params.wk, (1, 0))),
+               1.0 / np.sqrt(channels))                     # [S, Nq, C]
+    pos = T.matmul(qk, T.transpose(pe, (1, 0)))[score_idx]  # [S, Nq, Nk]
+    scores = T.add(T.bmm(qk, T.transpose(keys, (0, 2, 1))), pos)
+    if mask is not None:
+        scores = T.add(scores, mask)
     attn = T.softmax_rows(scores)
-    v_b = T.transpose(v, (1, 0, 2))                      # [S, w, C]
-    ctx = T.reshape(T.bmm(attn, v_b), (q.shape[0], channels))
-    return T.linear(ctx, params.wo, params.bo)
+    # attention weight per age [S, Nq, ages] times pe, plus attn . x
+    ctx = T.linear(attn[ctx_idx], pe, T.bmm(attn, keys))
+    return T.linear(T.linear(ctx, params.wv, params.bv), params.wo,
+                    params.bo)
 
 
 def attend_streaming(current, window, params: MotionModuleParams):
-    """Cached cross-attention for one frame against its window.
-
-    The window must already include the current frame as its newest entry
-    (cache updated before attending). With w == 1 this is single-frame
-    self-attention.
+    """Cached cross-attention for one frame, [S, C] or [S, 1, C] (the
+    result has its shape), against the [w, S, C] window of stored latents,
+    oldest to newest, whose newest entry is the frame itself (cache
+    updated before attending). With w == 1 this is self-attention.
     """
+    window = np.asarray(window)
     w = len(window)
     if w < 1:
         raise ValueError("empty attention window")
     if w > params.context:
         raise ValueError(f"window {w} exceeds context {params.context}")
-    window_t = [x if isinstance(x, Tensor) else T.constant(x) for x in window]
-    return _attend_window(current, window_t, params)
+    query = current if current.data.ndim == 3 else \
+        T.reshape(current, (current.shape[0], 1, -1))
+    out = _attend(query, T.constant(window.transpose(1, 0, 2)),
+                  params.context, params)
+    return out if current.data.ndim == 3 else T.reshape(out, current.shape)
 
 
 def attend_batch_masked(seq: Tensor, mask: WindowedMask,
                         params: MotionModuleParams) -> Tensor:
-    """Banded masked attention over an [N, S, C] sequence.
-
-    Computed as N windowed attentions so the key PE age q-k matches the
-    streaming path definitionally.
-    """
-    n = seq.shape[0]
+    """Banded masked attention over an [N, S, C] sequence: the stream's
+    kernel with every frame as a query."""
+    tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
     band = min(mask.band, params.context)
-    outs = []
-    for q in range(n):
-        lo = max(0, q - band + 1)
-        window = [seq[k] for k in range(lo, q + 1)]
-        outs.append(_attend_window(seq[q], window, params))
-    return T.stack(outs, axis=0)
+    return T.transpose(_attend(tokens, tokens, band, params), (1, 0, 2))
 
 
 def motion_module_forward_batch(x: Tensor, mask: WindowedMask,
                                 params: MotionModuleParams) -> Tensor:
     """Pre-norm temporal attention with residual, batch mode. [N, S, C]."""
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    # the windowed kernel attends across frames independently per spatial
-    # token, i.e. it operates on the temporally reordered view
-    y = attend_batch_masked(h, mask, params)
-    return T.add(x, y)
+    return T.add(x, attend_batch_masked(h, mask, params))
 
 
 def motion_module_forward_stream(x: Tensor, frame_index: int,
                                  bank: CacheBank,
                                  params: MotionModuleParams) -> Tensor:
-    """Streaming counterpart for one [S, C] frame.
+    """Streaming counterpart for one frame, [S, C] or [S, 1, C].
 
     Pushes the current pre-PE latent into the cache before attending, then
     cross-attends against the routed window.
     """
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    bank.push_evict(frame_index, h.data)
-    window = bank.window(frame_index)
+    bank.push_evict(frame_index, h.data.reshape(h.shape[0], -1))
     # the newest window entry is the stored copy of h; use h itself as the
     # query so gradients (when taped) flow through the current frame
-    y = attend_streaming(h, window, params)
+    y = attend_streaming(h, bank.window(frame_index), params)
     return T.add(x, y)

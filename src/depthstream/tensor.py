@@ -309,14 +309,15 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """2-D matrix product with the standard gradient rule."""
+    """Matrix product of a [..., k] with a 2-D b [k, n]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
+        return g @ b.data.T, gb
 
     return _finish(out, (a, b), back)
 
@@ -376,7 +377,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map on the last axis: x[...,k] @ w[k,n] + b[n]."""
+    """Affine map on the last axis: x[...,k] @ w[k,n] + b, where b is [n]
+    or any shape that broadcasts against the product."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
         raise ShapeError(f"linear shapes {x.shape} @ {w.shape} + {b.shape}")
@@ -385,8 +387,7 @@ def linear(x, w, b) -> Tensor:
     def back(g):
         gx = g @ w.data.T
         gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
-        gb = g.reshape(-1, b.shape[-1]).sum(axis=0)
-        return gx, gw, gb
+        return gx, gw, _unbroadcast(g, b.shape)
 
     return _finish(out, (x, w, b), back)
 

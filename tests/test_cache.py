@@ -43,7 +43,8 @@ class TestFeatureCache:
         assert [w[0] for w in win] == [2.0, 3.0, 4.0]
 
     def test_empty_window(self):
-        assert FeatureCache(4).window() == []
+        win = FeatureCache(4).window()
+        assert win.shape[0] == 0 and win.dtype == np.float32
 
     def test_fp16_rounding(self):
         c = FeatureCache(2, precision=PrecisionMode.EMULATED16)

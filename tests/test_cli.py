@@ -95,6 +95,29 @@ class TestInference:
         assert lat[0] == "frame,latency_ms"
         assert len(lat) == 1 + len(names)
 
+    def test_stream_matches_batch_below_trained_context(self, pipeline,
+                                                        tmp_path):
+        # the checkpoint was trained at c=4; both modes must honour c=2
+        common = ("--data", str(pipeline["data"]), "--model",
+                  str(pipeline["ckpt"]), "--context", "2")
+        s_out, b_out = tmp_path / "stream", tmp_path / "batch"
+        assert run("stream", "--out", str(s_out), *common) == 0
+        assert run("infer-batch", "--out", str(b_out), *common) == 0
+        names = (s_out / "seq000.predlist").read_text().split()
+        diff = max(np.abs(read_pfm(s_out / n) - read_pfm(b_out / n)).max()
+                   for n in names)
+        assert diff < 1e-5
+
+    @pytest.mark.parametrize("flags", [("--caches", "2"),
+                                       ("--precision", "fp16"),
+                                       ("--context", "5")])
+    def test_batch_rejects_what_it_cannot_emulate(self, pipeline, tmp_path,
+                                                  flags, capsys):
+        assert run("infer-batch", "--data", str(pipeline["data"]), "--out",
+                   str(tmp_path / "b"), "--model", str(pipeline["ckpt"]),
+                   "--context", "4", *flags) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_stride_reduces_frames(self, pipeline, tmp_path):
         out = tmp_path / "s2"
         assert run("stream", "--data", str(pipeline["data"]), "--out",

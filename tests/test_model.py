@@ -4,6 +4,7 @@ import pytest
 from depthstream.cache import PrecisionMode
 from depthstream.model import (DepthModel, ModelConfig, SessionMisuse,
                                load_checkpoint, save_checkpoint)
+from depthstream.tensor import Tape
 
 
 @pytest.fixture
@@ -198,6 +199,21 @@ class TestConfigValidation:
     def test_session_context_capped_by_table(self, model):
         with pytest.raises(ValueError):
             model.new_session(context=model.cfg.context + 1)
+
+    def test_batch_context_capped_by_table(self, model, cfg):
+        feats = model.encoder.encode_sequence(rand_rgb(3, cfg, seed=15))
+        with pytest.raises(ValueError):
+            model.head_forward_batch(feats, context=cfg.context + 1)
+
+    def test_batch_tape_does_not_grow_with_frames(self, model, cfg):
+        # one kernel call per motion module, not one per frame
+        nodes = []
+        for n in (8, 32):
+            feats = model.encoder.encode_sequence(rand_rgb(n, cfg, seed=16))
+            with Tape() as tape:
+                model.head_forward_batch(feats)
+            nodes.append(len(tape))
+        assert nodes[0] == nodes[1] > 0
 
     def test_smaller_session_context_allowed(self, model, cfg):
         seq = rand_rgb(6, cfg, seed=14)

@@ -6,9 +6,7 @@ from depthstream.cache import CacheBank
 from depthstream.motion import (MotionModuleParams, WindowedMask,
                                 attend_batch_masked, attend_streaming,
                                 motion_module_forward_batch,
-                                motion_module_forward_stream,
-                                positional_encode, reorder_spatial,
-                                reorder_temporal)
+                                motion_module_forward_stream)
 from depthstream.tensor import Tensor, gradcheck
 
 
@@ -22,58 +20,12 @@ def rand_latents(n, s, c, seed=0):
     return np.random.default_rng(seed).normal(size=(n, s, c)).astype(np.float32)
 
 
-class TestReorder:
-    def test_roundtrip_bit_exact(self):
-        x = Tensor(rand_latents(4, 6, 8))
-        back = reorder_spatial(reorder_temporal(x))
-        np.testing.assert_array_equal(back.data, x.data)
-
-    def test_single_frame(self):
-        x = Tensor(rand_latents(1, 5, 3))
-        y = reorder_temporal(x)
-        assert y.data.shape == (5, 1, 3)
-        np.testing.assert_array_equal(y.data[:, 0], x.data[0])
-
-    def test_element_mapping(self):
-        x = Tensor(rand_latents(4, 6, 8, seed=1))
-        y = reorder_temporal(x)
-        assert y.data[3, 2, 5] == x.data[2, 3, 5]
-
-
-class TestPositionalEncode:
-    def test_zero_table_is_identity(self):
-        params = make_params()
-        params.pe_table = Tensor(np.zeros_like(params.pe_table.data))
-        x = Tensor(rand_latents(1, 4, 8)[0])
-        np.testing.assert_array_equal(positional_encode(x, 2, params).data,
-                                      x.data)
-
-    def test_distinct_ages_differ(self):
-        params = make_params()
-        x = Tensor(rand_latents(1, 4, 8)[0])
-        a = positional_encode(x, 0, params).data
-        b = positional_encode(x, 1, params).data
-        row_diff = params.pe_table.data[0] != params.pe_table.data[1]
-        assert (a != b)[:, row_diff].all()
-
-    def test_additivity(self):
-        params = make_params()
-        x = Tensor(rand_latents(1, 4, 8)[0])
-        twice = positional_encode(positional_encode(x, 0, params), 0, params)
-        np.testing.assert_allclose(
-            twice.data, x.data + 2 * params.pe_table.data[0], atol=1e-6)
-
-    def test_age_out_of_range(self):
-        params = make_params(context=4)
-        with pytest.raises(ValueError):
-            positional_encode(Tensor(rand_latents(1, 4, 8)[0]), 4, params)
-
-
-def dense_attention_oracle(seq, params):
+def dense_attention_oracle(seq, params, band=None):
     """Brute-force causal-banded attention without any caching: dense
-    per-token computation straight from the definition."""
+    per-token computation straight from the definition, keys and values
+    projected from the positionally encoded latents."""
     n, s, c = seq.shape
-    band = params.context
+    band = params.context if band is None else band
     out = np.zeros_like(seq)
     for tok in range(s):
         for q in range(n):
@@ -124,6 +76,15 @@ class TestAttendStreaming:
 
 
 class TestAttendBatchMasked:
+    def test_every_frame_matches_dense_oracle(self):
+        params = make_params(channels=8, context=4, seed=21)
+        seq = rand_latents(7, 4, 8, seed=22)
+        got = attend_batch_masked(Tensor(seq), WindowedMask(3, 7),
+                                  params).data
+        np.testing.assert_allclose(got, dense_attention_oracle(seq, params,
+                                                               band=3),
+                                   atol=1e-5)
+
     def test_single_frame_equals_streaming(self):
         params = make_params()
         seq = rand_latents(1, 4, 8, seed=9)
@@ -201,15 +162,43 @@ class TestMotionModule:
                                           WindowedMask(4, 6), params).data
         np.testing.assert_allclose(out[:4], base[:4], atol=1e-6)
 
-    def test_gradcheck_batch_mode(self):
-        params = make_params(channels=4, context=3, seed=19, trainable=True)
-        seq = rand_latents(3, 2, 4, seed=20)
+    @staticmethod
+    def _gradcheck_batch(n, band, seed):
+        params = make_params(channels=4, context=3, seed=seed, trainable=True)
+        seq = rand_latents(n, 2, 4, seed=seed + 1)
         tensors = [t for _, t in params.named_tensors()]
 
         def f():
             out = motion_module_forward_batch(Tensor(seq),
-                                              WindowedMask(3, 3), params)
+                                              WindowedMask(band, n), params)
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)
         assert rep["passed"], rep
+
+    def test_gradcheck_batch_mode(self):
+        self._gradcheck_batch(3, 3, seed=19)
+
+    def test_gradcheck_batch_mode_masked_entries(self):
+        # N = 5 > band = 2: masked pairs and the age tables are in play
+        self._gradcheck_batch(5, 2, seed=23)
+
+    def test_key_bias_drops_out(self):
+        # q.bk is the same for every key, so the softmax cancels it
+        params = make_params(channels=8, context=4, seed=25)
+        seq = rand_latents(6, 4, 8, seed=26)
+
+        def outputs():
+            batch = motion_module_forward_batch(
+                Tensor(seq), WindowedMask(4, 6), params).data
+            bank = CacheBank(4, 1)
+            stream = [motion_module_forward_stream(Tensor(seq[t]), t, bank,
+                                                   params).data
+                      for t in range(6)]
+            return batch, np.stack(stream)
+
+        before = outputs()
+        params.bk = Tensor(np.random.default_rng(27).normal(size=8))
+        after = outputs()
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
