@@ -16,7 +16,7 @@ __all__ = [
     "AffineAlign", "DepthSequence", "EvalReport", "DriftCurve",
     "DegenerateAlignment", "least_squares_align", "apply_align",
     "absrel", "delta1", "invert_disparity", "eval_first_frame",
-    "eval_global", "scale_drift_curve", "rank_aggregate",
+    "eval_global", "scale_drift_curve",
     "DEPTH_CLIP", "DELTA1_THRESHOLD",
 ]
 
@@ -247,17 +247,3 @@ def scale_drift_curve(pred_seqs, gt_seqs, window: int = 4) -> DriftCurve:
         raw[j] = float(np.mean(vals))
     return DriftCurve(drift=_moving_average(raw, window), raw_drift=raw,
                       data_support=support, window=window)
-
-
-def rank_aggregate(scores: dict[str, list[float]],
-                   higher_is_better: bool = True) -> dict[str, float]:
-    """Mean rank per method over user-supplied per-dataset scores."""
-    methods = list(scores)
-    n_cols = len(next(iter(scores.values())))
-    ranks = {m: 0.0 for m in methods}
-    for j in range(n_cols):
-        col = sorted(methods, key=lambda m: scores[m][j],
-                     reverse=higher_is_better)
-        for r, m in enumerate(col, start=1):
-            ranks[m] += r / n_cols
-    return ranks

@@ -286,7 +286,7 @@ def _add_common(p, model_flag=False):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", type=int, default=16)
     p.add_argument("--caches", type=int, default=1,
-                   help="virtual cache count m (1 = single cache)")
+                   help="cache stride m: the window spans about m x c frames")
     p.add_argument("--precision", choices=["fp32", "fp16"], default="fp32")
     if model_flag:
         p.add_argument("--model", required=True, help="model checkpoint")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .cache import CacheBank, PrecisionMode
-from .motion import MotionModuleParams, WindowedMask, \
-    motion_module_forward_batch, motion_module_forward_stream
+from .motion import MotionModuleParams, motion_module_forward_batch, \
+    motion_module_forward_stream
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "EncoderStub", "DepthModel", "StreamingSession",
@@ -161,11 +161,10 @@ class DepthModel:
         c = self.cfg.context if context is None else context
         if c > self.cfg.context:
             raise ValueError("context cannot exceed the model's position table")
-        mask = WindowedMask(band=c, frames=n)
         h = T.linear(feats, self.w_in, self.b_in)
         for blk, mm in zip(self.blocks, self.motions):
             h = blk.forward(h)
-            h = motion_module_forward_batch(h, mask, mm)
+            h = motion_module_forward_batch(h, c, mm)
         return self._readout(h, n)
 
     def forward_batch(self, rgb_seq: np.ndarray,
@@ -199,17 +198,25 @@ class StreamingSession:
                              "position table")
         self.modulus = cfg.cache_modulus if cache_modulus is None else cache_modulus
         self.precision = cfg.precision_mode if precision is None else precision
-        self.banks = [CacheBank(self.context, self.modulus, f"motion{i}",
-                                self.precision)
-                      for i in range(cfg.num_motion_modules)]
+        self.banks = [CacheBank(self.context, self.modulus, self.precision)
+                      for _ in range(cfg.num_motion_modules)]
         self.t = 0
 
     def head_forward_stream(self, features) -> np.ndarray:
-        """Features of ONE frame [S, C_enc] -> [H, W] inverse depth."""
+        """Features of ONE frame [S, C_enc] -> [H, W] inverse depth.
+
+        A frame of the wrong shape or with a non-finite value raises
+        SessionMisuse before any cache is written, so the session goes on
+        as if it had never been offered.
+        """
         feats = features.data if isinstance(features, Tensor) else \
             np.asarray(features)
-        if feats.ndim != 2:
-            raise SessionMisuse("stream step takes a single frame")
+        cfg = self.model.cfg
+        if feats.shape != (cfg.tokens, cfg.encoder_channels) \
+                or not np.isfinite(feats).all():
+            raise SessionMisuse(
+                f"stream step takes one finite {cfg.tokens}x"
+                f"{cfg.encoder_channels} frame, got shape {feats.shape}")
         # one frame, token-major [S, 1, C]: the attention kernel's layout
         h = T.linear(T.constant(feats[:, None]), self.model.w_in,
                      self.model.b_in)
@@ -278,4 +285,6 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
                 raise ValueError("truncated checkpoint")
             loaded = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
             arr[...] = loaded
+        if f.read(1):
+            raise ValueError("trailing bytes after checkpoint")
     return model, extra

@@ -1,9 +1,10 @@
 """Temporal attention with two equivalent modes.
 
 Training runs batched attention under a banded lower-triangular mask of
-width c; streaming runs cached cross-attention against a sliding window of
-at most c past latents. Both run one banded attention kernel, so their
-outputs agree frame for frame. Latents enter the cache after layer norm
+width c; streaming runs cached cross-attention against the window of a
+CacheBank: at most c past latents, spaced m frames apart once the bank
+holds more than c. Both run one banded attention kernel, so for m = 1
+their outputs agree frame for frame. Latents enter the cache after layer norm
 but before positional encoding; ages are window-relative (age 0 = current
 frame) and fold into the scores and context, as the encoding is added
 before the key and value projections.
@@ -22,7 +23,6 @@ from .tensor import Tensor
 
 __all__ = [
     "MotionModuleParams",
-    "WindowedMask",
     "attend_streaming",
     "attend_batch_masked",
     "motion_module_forward_batch",
@@ -83,20 +83,6 @@ class MotionModuleParams:
                 ("wo", self.wo), ("bo", self.bo),
                 ("ln_gain", self.ln_gain), ("ln_bias", self.ln_bias),
                 ("pe_table", self.pe_table)]
-
-
-@dataclass(frozen=True)
-class WindowedMask:
-    """Banded lower-triangular admissibility: key k visible to query q iff
-    0 <= q - k < band."""
-
-    band: int
-    frames: int
-
-    def matrix(self) -> np.ndarray:
-        q = np.arange(self.frames)[:, None]
-        k = np.arange(self.frames)[None, :]
-        return (q - k >= 0) & (q - k < self.band)
 
 
 @functools.lru_cache(maxsize=64)
@@ -167,20 +153,21 @@ def attend_streaming(current, window, params: MotionModuleParams):
     return out if current.data.ndim == 3 else T.reshape(out, current.shape)
 
 
-def attend_batch_masked(seq: Tensor, mask: WindowedMask,
+def attend_batch_masked(seq: Tensor, band: int,
                         params: MotionModuleParams) -> Tensor:
     """Banded masked attention over an [N, S, C] sequence: the stream's
-    kernel with every frame as a query."""
+    kernel with every frame as a query, key k visible to query q iff
+    0 <= q - k < band."""
     tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
-    band = min(mask.band, params.context)
+    band = min(band, params.context)
     return T.transpose(_attend(tokens, tokens, band, params), (1, 0, 2))
 
 
-def motion_module_forward_batch(x: Tensor, mask: WindowedMask,
+def motion_module_forward_batch(x: Tensor, band: int,
                                 params: MotionModuleParams) -> Tensor:
     """Pre-norm temporal attention with residual, batch mode. [N, S, C]."""
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    return T.add(x, attend_batch_masked(h, mask, params))
+    return T.add(x, attend_batch_masked(h, band, params))
 
 
 def motion_module_forward_stream(x: Tensor, frame_index: int,
@@ -188,12 +175,12 @@ def motion_module_forward_stream(x: Tensor, frame_index: int,
                                  params: MotionModuleParams) -> Tensor:
     """Streaming counterpart for one frame, [S, C] or [S, 1, C].
 
-    Pushes the current pre-PE latent into the cache before attending, then
-    cross-attends against the routed window.
+    Pushes the current pre-PE latent into the bank before attending, then
+    cross-attends against the bank's window.
     """
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
     bank.push_evict(frame_index, h.data.reshape(h.shape[0], -1))
     # the newest window entry is the stored copy of h; use h itself as the
     # query so gradients (when taped) flow through the current frame
-    y = attend_streaming(h, bank.window(frame_index), params)
+    y = attend_streaming(h, bank.window(), params)
     return T.add(x, y)

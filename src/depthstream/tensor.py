@@ -19,7 +19,6 @@ __all__ = [
     "Tape",
     "NonFiniteError",
     "ShapeError",
-    "tensor",
     "constant",
     "zeros",
     "matmul",
@@ -127,10 +126,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def constant(data) -> Tensor:

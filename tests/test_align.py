@@ -7,7 +7,7 @@ from depthstream.align import (AffineAlign, DegenerateAlignment,
                                DepthSequence, absrel, apply_align, delta1,
                                eval_first_frame, eval_global,
                                invert_disparity, least_squares_align,
-                               rank_aggregate, scale_drift_curve)
+                               scale_drift_curve)
 from depthstream.verify import brute_force_align
 
 
@@ -275,10 +275,3 @@ class TestDriftCurve:
         curve.write_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "frame_index,drift,data_support"
-
-
-class TestRankAggregate:
-    def test_simple_ranking(self):
-        ranks = rank_aggregate({"a": [0.9, 0.8], "b": [0.5, 0.9]})
-        assert ranks["a"] < ranks["b"] or ranks["a"] == pytest.approx(1.5)
-        assert set(ranks) == {"a", "b"}

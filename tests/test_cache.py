@@ -1,31 +1,42 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthstream.cache import (CacheBank, FeatureCache, OutOfOrderFrame,
-                               PrecisionMode)
+from depthstream.cache import CacheBank, OutOfOrderFrame, PrecisionMode
 
 
 def lat(v, size=8):
     return np.full(size, float(v), dtype=np.float32)
 
 
+def indices(bank):
+    """Frame indices in a bank's window, read from latents filled with
+    their own index."""
+    return [int(w[0]) for w in bank.window()]
+
+
 class TestFeatureCache:
+    """The plain FIFO: a bank with modulus 1, whose window is every stored
+    entry."""
+
     def test_fifo_eviction_schedule(self):
-        c = FeatureCache(3)
+        c = CacheBank(3, 1)
         evictions = [c.push_evict(i, lat(i)) for i in range(5)]
         assert evictions == [None, None, None, 0, 1]
-        assert c.indices() == [2, 3, 4]
+        assert indices(c) == [2, 3, 4]
 
     def test_capacity_one(self):
-        c = FeatureCache(1)
+        c = CacheBank(1, 1)
         for i in range(4):
             c.push_evict(i, lat(i))
-            assert c.indices() == [i]
+            assert indices(c) == [i]
 
     def test_out_of_order_rejected(self):
-        c = FeatureCache(2)
+        c = CacheBank(2, 1)
         c.push_evict(3, lat(3))
         with pytest.raises(OutOfOrderFrame):
             c.push_evict(3, lat(3))
@@ -33,7 +44,7 @@ class TestFeatureCache:
             c.push_evict(1, lat(1))
 
     def test_window_order_and_snapshot(self):
-        c = FeatureCache(3)
+        c = CacheBank(3, 1)
         for i in range(5):
             c.push_evict(i, lat(i))
         win = c.window()
@@ -43,11 +54,11 @@ class TestFeatureCache:
         assert [w[0] for w in win] == [2.0, 3.0, 4.0]
 
     def test_empty_window(self):
-        win = FeatureCache(4).window()
+        win = CacheBank(4).window()
         assert win.shape[0] == 0 and win.dtype == np.float32
 
     def test_fp16_rounding(self):
-        c = FeatureCache(2, precision=PrecisionMode.EMULATED16)
+        c = CacheBank(2, 1, precision=PrecisionMode.EMULATED16)
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.5, 2.0, 64).astype(np.float32)
         c.push_evict(0, vals)
@@ -57,12 +68,12 @@ class TestFeatureCache:
         assert np.max(np.abs(stored - vals)) <= 2.0 ** -11 * np.max(np.abs(vals))
 
     def test_footprint_arithmetic(self):
-        c = FeatureCache(16)
+        c = CacheBank(16, 1)
         assert c.memory_footprint() == 0
         for i in range(16):
             c.push_evict(i, np.zeros(1024, dtype=np.float32))
         assert c.memory_footprint() == 16 * 1024 * 4
-        h = FeatureCache(16, precision=PrecisionMode.EMULATED16)
+        h = CacheBank(16, 1, precision=PrecisionMode.EMULATED16)
         for i in range(16):
             h.push_evict(i, np.zeros(1024, dtype=np.float32))
         assert h.memory_footprint() == 16 * 1024 * 2
@@ -71,7 +82,7 @@ class TestFeatureCache:
                                        max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_fifo_invariants_random_schedules(self, capacity, gaps):
-        c = FeatureCache(capacity)
+        c = CacheBank(capacity, 1)
         pushed, evicted = [], []
         idx = 0
         footprints = [c.memory_footprint()]
@@ -85,7 +96,7 @@ class TestFeatureCache:
             footprints.append(c.memory_footprint())
         # eviction order equals insertion order
         assert evicted == pushed[:len(evicted)]
-        assert c.indices() == pushed[len(evicted):]
+        assert indices(c) == pushed[len(evicted):]
         # footprint non-decreasing until full, then constant
         grow = footprints[:capacity + 1]
         assert grow == sorted(grow)
@@ -95,20 +106,60 @@ class TestFeatureCache:
 class TestCacheBank:
     def test_single_cache_degenerate(self):
         bank = CacheBank(3, 1)
-        plain = FeatureCache(3)
+        plain = collections.deque(maxlen=3)
         for i in range(10):
             bank.push_evict(i, lat(i))
-            plain.push_evict(i, lat(i))
-            got = [w[0] for w in bank.window(i)]
-            want = [w[0] for w in plain.window()]
-            assert got == want
+            plain.append(i)
+            assert indices(bank) == list(plain)
 
     def test_documented_routing(self):
+        # with m = 2 the window of frame t holds frames of t's residue mod 2
+        bank = CacheBank(2, 2)
+        windows = []
+        for i in range(6):
+            bank.push_evict(i, lat(i))
+            windows.append(indices(bank))
+        assert windows[4] == [2, 4]
+        assert windows[5] == [3, 5]
+        assert len(bank) == 4 and bank.span() == 4
+
+    def test_equally_spaced_frames_per_cache(self):
+        bank = CacheBank(4, 2)
+        for i in range(20):
+            bank.push_evict(i, lat(i))
+            if i >= 4:
+                diffs = np.diff(indices(bank))
+                assert (diffs == 2).all()
+
+    def test_clear_resets(self):
         bank = CacheBank(2, 2)
         for i in range(6):
             bank.push_evict(i, lat(i))
-        assert bank.caches[0].indices() == [2, 4]
-        assert bank.caches[1].indices() == [3, 5]
+        bank.clear()
+        assert bank.memory_footprint() == 0
+        assert len(bank) == 0 and bank.span() == 0
+        bank.push_evict(0, lat(0))
+        assert indices(bank) == [0]
+
+    def test_closed_form_schedule(self):
+        # frames 0, 1, 2, ...: window 0..t while t < c, then the c newest
+        # of t, t - m, ...; the bank keeps the last m * c frames
+        size = 8
+        for precision, per_entry in ((PrecisionMode.FULL32, 4 * size),
+                                     (PrecisionMode.EMULATED16, 2 * size)):
+            for c, m in itertools.product(range(1, 7), range(1, 5)):
+                bank = CacheBank(c, m, precision)
+                for _ in range(2):  # clear() restores the empty bank
+                    assert bank.memory_footprint() == 0
+                    for t in range(6 * m * c):
+                        evicted = bank.push_evict(t, lat(t, size))
+                        assert evicted == (t - m * c if t >= m * c else None)
+                        want = list(range(t + 1)) if t < c else \
+                            list(range(t, -1, -m))[:c][::-1]
+                        assert indices(bank) == want, (c, m, t)
+                        assert bank.memory_footprint() == \
+                            min(t + 1, m * c) * per_entry
+                    bank.clear()
 
     def test_effective_span(self):
         for m in (1, 2, 3):
@@ -122,22 +173,4 @@ class TestCacheBank:
         bank = CacheBank(4, 3)
         for i in range(20):
             bank.push_evict(i, lat(i))
-            assert len(bank.window(i)) >= 1
-
-    def test_equally_spaced_frames_per_cache(self):
-        bank = CacheBank(4, 2)
-        for i in range(20):
-            bank.push_evict(i, lat(i))
-        for cache in bank.caches:
-            diffs = np.diff(cache.indices())
-            assert (diffs == 2).all()
-
-    def test_clear_resets(self):
-        bank = CacheBank(2, 2)
-        for i in range(6):
-            bank.push_evict(i, lat(i))
-        bank.clear()
-        assert bank.memory_footprint() == 0
-        assert bank.warmup_counter == 0
-        bank.push_evict(0, lat(0))
-        assert bank.route(0) == 0
+            assert len(bank.window()) >= 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depthstream import tensor as T
 from depthstream.cache import PrecisionMode
 from depthstream.model import (DepthModel, ModelConfig, SessionMisuse,
                                load_checkpoint, save_checkpoint)
@@ -146,6 +147,29 @@ class TestSession:
             session.head_forward_stream(np.zeros((2, cfg.tokens,
                                                   cfg.encoder_channels)))
 
+    @pytest.mark.parametrize("modulus", [1, 2])
+    def test_rejected_frame_leaves_session_intact(self, model, cfg, modulus):
+        feats = model.encoder.encode_sequence(rand_rgb(10, cfg, seed=13))
+        nan_rgb = rand_rgb(1, cfg, seed=14)[0]
+        nan_rgb[0, 0, 0] = np.nan
+        bad = [feats[0][:cfg.tokens // 2], feats[:2],
+               np.where(np.arange(cfg.encoder_channels) == 3, np.inf,
+                        feats[0]).astype(np.float32)]
+        clean = model.new_session(cache_modulus=modulus)
+        want = np.stack([clean.head_forward_stream(f) for f in feats])
+        session = model.new_session(cache_modulus=modulus)
+        got = []
+        with T.finite_checks(False):
+            for i, f in enumerate(feats):
+                if i == 3:
+                    for b in bad:
+                        with pytest.raises(SessionMisuse):
+                            session.head_forward_stream(b)
+                    with pytest.raises(SessionMisuse):
+                        session.step_rgb(nan_rgb)
+                got.append(session.head_forward_stream(f))
+        np.testing.assert_array_equal(np.stack(got), want)
+
     def test_determinism_across_models(self, cfg):
         seq = rand_rgb(4, cfg, seed=12)
         out1 = DepthModel(cfg).forward_batch(seq)
@@ -187,6 +211,13 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError):
             load_checkpoint(path)
 

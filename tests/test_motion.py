@@ -3,9 +3,8 @@ import pytest
 
 from depthstream import tensor as T
 from depthstream.cache import CacheBank
-from depthstream.motion import (MotionModuleParams, WindowedMask,
-                                attend_batch_masked, attend_streaming,
-                                motion_module_forward_batch,
+from depthstream.motion import (MotionModuleParams, attend_batch_masked,
+                                attend_streaming, motion_module_forward_batch,
                                 motion_module_forward_stream)
 from depthstream.tensor import Tensor, gradcheck
 
@@ -79,8 +78,7 @@ class TestAttendBatchMasked:
     def test_every_frame_matches_dense_oracle(self):
         params = make_params(channels=8, context=4, seed=21)
         seq = rand_latents(7, 4, 8, seed=22)
-        got = attend_batch_masked(Tensor(seq), WindowedMask(3, 7),
-                                  params).data
+        got = attend_batch_masked(Tensor(seq), 3, params).data
         np.testing.assert_allclose(got, dense_attention_oracle(seq, params,
                                                                band=3),
                                    atol=1e-5)
@@ -88,24 +86,21 @@ class TestAttendBatchMasked:
     def test_single_frame_equals_streaming(self):
         params = make_params()
         seq = rand_latents(1, 4, 8, seed=9)
-        batch = attend_batch_masked(Tensor(seq), WindowedMask(4, 1), params)
+        batch = attend_batch_masked(Tensor(seq), 4, params)
         stream = attend_streaming(Tensor(seq[0]), [seq[0]], params)
         np.testing.assert_allclose(batch.data[0], stream.data, atol=1e-7)
 
     def test_wide_band_is_plain_causal(self):
         params = make_params(context=8)
         seq = rand_latents(5, 4, 8, seed=10)
-        wide = attend_batch_masked(Tensor(seq), WindowedMask(10 ** 6, 5),
-                                   params).data
-        exact = attend_batch_masked(Tensor(seq), WindowedMask(8, 5),
-                                    params).data
+        wide = attend_batch_masked(Tensor(seq), 10 ** 6, params).data
+        exact = attend_batch_masked(Tensor(seq), 8, params).data
         np.testing.assert_allclose(wide, exact, atol=1e-7)
 
     def test_per_frame_equals_streaming_pipeline(self):
         params = make_params(channels=8, context=4, seed=11)
         seq = rand_latents(6, 4, 8, seed=12)
-        batch = attend_batch_masked(Tensor(seq), WindowedMask(4, 6),
-                                    params).data
+        batch = attend_batch_masked(Tensor(seq), 4, params).data
         window: list[np.ndarray] = []
         for q in range(6):
             window.append(seq[q])
@@ -113,12 +108,6 @@ class TestAttendBatchMasked:
                 window.pop(0)
             got = attend_streaming(Tensor(seq[q]), list(window), params).data
             np.testing.assert_allclose(got, batch[q], atol=1e-5)
-
-    def test_mask_matrix_band(self):
-        m = WindowedMask(2, 4).matrix()
-        expected = np.array([[1, 0, 0, 0], [1, 1, 0, 0],
-                             [0, 1, 1, 0], [0, 0, 1, 1]], dtype=bool)
-        np.testing.assert_array_equal(m, expected)
 
     def test_attention_rows_sum_to_one(self):
         # indirect: uniform-value window must return the value itself
@@ -137,14 +126,13 @@ class TestMotionModule:
         params.wo = Tensor(np.zeros_like(params.wo.data))
         params.bo = Tensor(np.zeros_like(params.bo.data))
         x = Tensor(rand_latents(5, 4, 8, seed=14))
-        out = motion_module_forward_batch(x, WindowedMask(4, 5), params)
+        out = motion_module_forward_batch(x, 4, params)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_batch_vs_stream_equivalence(self):
         params = make_params(channels=8, context=4, seed=15)
         seq = rand_latents(8, 4, 8, seed=16)
-        batch = motion_module_forward_batch(Tensor(seq), WindowedMask(4, 8),
-                                            params).data
+        batch = motion_module_forward_batch(Tensor(seq), 4, params).data
         bank = CacheBank(4, 1)
         for t in range(8):
             got = motion_module_forward_stream(Tensor(seq[t]), t, bank,
@@ -154,12 +142,10 @@ class TestMotionModule:
     def test_causality(self):
         params = make_params(channels=8, context=4, seed=17)
         seq = rand_latents(6, 4, 8, seed=18)
-        base = motion_module_forward_batch(Tensor(seq), WindowedMask(4, 6),
-                                           params).data
+        base = motion_module_forward_batch(Tensor(seq), 4, params).data
         perturbed = seq.copy()
         perturbed[4:] += 3.0
-        out = motion_module_forward_batch(Tensor(perturbed),
-                                          WindowedMask(4, 6), params).data
+        out = motion_module_forward_batch(Tensor(perturbed), 4, params).data
         np.testing.assert_allclose(out[:4], base[:4], atol=1e-6)
 
     @staticmethod
@@ -169,8 +155,7 @@ class TestMotionModule:
         tensors = [t for _, t in params.named_tensors()]
 
         def f():
-            out = motion_module_forward_batch(Tensor(seq),
-                                              WindowedMask(band, n), params)
+            out = motion_module_forward_batch(Tensor(seq), band, params)
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)
@@ -189,8 +174,7 @@ class TestMotionModule:
         seq = rand_latents(6, 4, 8, seed=26)
 
         def outputs():
-            batch = motion_module_forward_batch(
-                Tensor(seq), WindowedMask(4, 6), params).data
+            batch = motion_module_forward_batch(Tensor(seq), 4, params).data
             bank = CacheBank(4, 1)
             stream = [motion_module_forward_stream(Tensor(seq[t]), t, bank,
                                                    params).data
