@@ -81,18 +81,32 @@ def _manifests(data_dir) -> list[Path]:
     return paths
 
 
+# train flags that fix the model, and the ModelConfig field each sets
+_MODEL_FLAGS = {"context": "context", "caches": "cache_modulus",
+                "precision": "precision", "height": "height", "width": "width"}
+
+
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    _write_run_record(out, args)
+    given = {field: getattr(args, flag) for flag, field in _MODEL_FLAGS.items()
+             if getattr(args, flag) is not None}
     step_offset = 0
     if args.resume:
         model, extra = load_checkpoint(args.resume)
         step_offset = int(extra.get("steps_done", 0))
+        cfg = model.cfg
+        clash = [f"--{flag} {given[field]} (checkpoint: {getattr(cfg, field)})"
+                 for flag, field in _MODEL_FLAGS.items()
+                 if field in given and given[field] != getattr(cfg, field)]
+        if clash:
+            print("error: --resume keeps the checkpoint's model; conflicting "
+                  + ", ".join(clash), file=sys.stderr)
+            return USAGE_ERROR
     else:
-        model = DepthModel(ModelConfig(
-            height=args.height, width=args.width, context=args.context,
-            cache_modulus=args.caches, precision=args.precision,
-            seed=args.seed))
+        model = DepthModel(ModelConfig(seed=args.seed, **given))
+    for flag, field in _MODEL_FLAGS.items():
+        setattr(args, flag, getattr(model.cfg, field))
+    out = Path(args.out)
+    _write_run_record(out, args)
     sequences = []
     for mpath in _manifests(args.data):
         rgb, depth, valid = load_sequence(mpath)
@@ -321,10 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", action="store_true")
     p.add_argument("--cosine", action="store_true", default=True)
     p.add_argument("--no-cosine", dest="cosine", action="store_false")
-    p.add_argument("--resume", default=None)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to continue; the model flags below "
+                        "default to its values and must match them")
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
     _add_common(p)
+    p.set_defaults(context=None, caches=None, precision=None)
     p.set_defaults(func=cmd_train)
 
     for name, fn, help_text in (

@@ -52,36 +52,26 @@ class TrainConfig:
     seed: int = 0
 
 
-def _as_tensor_seq(pred) -> Tensor:
-    """Accept [N, H, W] tensor or stack of frames."""
-    if isinstance(pred, Tensor):
-        return pred
-    return T.constant(np.asarray(pred))
-
-
-def _fit_scale_shift(pred: Tensor, gt: np.ndarray, mask: np.ndarray):
-    """Differentiable least-squares (s, t) of pred against gt over mask."""
+def _fit_scale_shift(pred: Tensor, gt: np.ndarray, mask: np.ndarray,
+                     axis=None):
+    """Differentiable least-squares (s, t) of pred against gt over mask:
+    one pooled fit (axis=None) or one per frame (axis=(1, 2)). s and t
+    keep the reduced axes, so they broadcast against pred."""
     m = mask.astype(np.float32)
-    n = float(m.sum())
-    if n < 2:
+    n = m.sum(axis=axis, keepdims=True)
+    if (n < 2).any():
         raise DegenerateAlignment("need >= 2 valid pixels for the fit")
-    gm = gt * m
     pm = T.mul(pred, m)
-    sp = T.sum_(pm)
-    sg = float(gm.sum())
-    spp = T.sum_(T.mul(pm, pred))
-    spg = T.sum_(T.mul(pm, gt))
+    sp = T.sum_(pm, axis, keepdims=True)
+    sg = (gt * m).sum(axis=axis, keepdims=True)
+    spp = T.sum_(T.mul(pm, pred), axis, keepdims=True)
+    spg = T.sum_(T.mul(pm, gt), axis, keepdims=True)
     det = T.sub(T.mul(spp, n), T.mul(sp, sp))
-    if abs(det.item()) / (n * n) < 1e-12:
+    if (np.abs(det.data) / (n * n) < 1e-12).any():
         raise DegenerateAlignment("prediction variance too small to fit")
     s = T.div(T.sub(T.mul(spg, n), T.mul(sp, sg)), det)
     t = T.div(T.sub(T.mul(spp, sg), T.mul(sp, spg)), det)
     return s, t
-
-
-def _aligned(pred: Tensor, s, t) -> Tensor:
-    return T.add(T.mul(pred, T.reshape(s, (1,) * len(pred.shape))),
-                 T.reshape(t, (1,) * len(pred.shape)))
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
@@ -90,29 +80,27 @@ def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
     return T.mul(T.sum_(T.mul(T.abs_(diff), m)), 1.0 / n)
 
 
-def loss_ssi_scene(pred, gt, masks) -> Tensor:
-    """Scale-and-shift-invariant loss with ONE fit pooled over the whole
-    sequence; mean absolute error of the aligned prediction."""
-    p = _as_tensor_seq(pred)
-    gt = np.asarray(gt, dtype=np.float32)
-    m = np.asarray(masks, dtype=bool)
-    s, t = _fit_scale_shift(p, gt, m)
-    return _masked_mae(T.sub(_aligned(p, s, t), gt), m)
-
-
 def scene_align(pred, gt, masks) -> Tensor:
-    """The pooled-fit aligned prediction (shared by SSI and TGM)."""
-    p = _as_tensor_seq(pred)
+    """The prediction aligned by ONE scale/shift fit pooled over the whole
+    sequence (SSI and TGM each run their own)."""
+    p = T._as_tensor(pred)
+    s, t = _fit_scale_shift(p, np.asarray(gt, dtype=np.float32),
+                            np.asarray(masks, dtype=bool))
+    return T.add(T.mul(p, s), t)
+
+
+def loss_ssi_scene(pred, gt, masks) -> Tensor:
+    """Scale-and-shift-invariant loss: mean absolute error of the
+    scene-aligned prediction."""
     gt = np.asarray(gt, dtype=np.float32)
     m = np.asarray(masks, dtype=bool)
-    s, t = _fit_scale_shift(p, gt, m)
-    return _aligned(p, s, t)
+    return _masked_mae(T.sub(scene_align(pred, gt, m), gt), m)
 
 
 def temporal_gradient_error(aligned_pred, gt, masks) -> Tensor:
     """Mean |(d_t - d_{t-1}) - (g_t - g_{t-1})| over jointly valid pixels
     of consecutive frames. Input is already aligned."""
-    p = _as_tensor_seq(aligned_pred)
+    p = T._as_tensor(aligned_pred)
     gt = np.asarray(gt, dtype=np.float32)
     m = np.asarray(masks, dtype=bool)
     if p.shape[0] < 2:
@@ -123,47 +111,44 @@ def temporal_gradient_error(aligned_pred, gt, masks) -> Tensor:
     return _masked_mae(T.sub(dp, dg), joint)
 
 
-def loss_tgm(pred, gt, masks, align: bool = True) -> Tensor:
+def loss_tgm(pred, gt, masks) -> Tensor:
     """Temporal gradient matching after scene-level alignment."""
-    if align:
-        aligned = scene_align(pred, gt, masks)
-    else:
-        aligned = _as_tensor_seq(pred)
-    return temporal_gradient_error(aligned, gt, masks)
+    return temporal_gradient_error(scene_align(pred, gt, masks), gt, masks)
 
 
 def loss_sascon(pred, gt, masks) -> Tensor:
     """Scale-and-shift consistency: per frame, L1 between the frame aligned
     with frame 0's fit and the frame aligned with its own fit; mean over
-    pixels and frames."""
-    p = _as_tensor_seq(pred)
-    gt = np.asarray(gt, dtype=np.float32)
+    each frame's valid pixels, then over frames."""
+    p = T._as_tensor(pred)
     m = np.asarray(masks, dtype=bool)
-    n_frames = p.shape[0]
-    s0, t0 = _fit_scale_shift(p[0], gt[0], m[0])
-    terms = []
-    for i in range(n_frames):
-        frame = p[i]
-        si, ti = _fit_scale_shift(frame, gt[i], m[i])
-        first = _aligned(frame, s0, t0)
-        indi = _aligned(frame, si, ti)
-        terms.append(_masked_mae(T.sub(first, indi), m[i]))
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return T.mul(total, 1.0 / n_frames)
+    s, t = _fit_scale_shift(p, np.asarray(gt, dtype=np.float32), m,
+                            axis=(1, 2))
+    # (p*s0 + t0) - (p*s + t), with every frame's fit in one op
+    gap = T.add(T.mul(p, T.sub(s[0], s)), T.sub(t[0], t))
+    n = m.sum(axis=(1, 2), keepdims=True)
+    weight = m / (n * m.shape[0])
+    return T.sum_(T.mul(T.abs_(gap), weight))
+
+
+def _weighted_losses(pred, gt, masks, weights: LossWeights):
+    """The weighted total and every term it ran; a zero beta or gamma
+    skips its term."""
+    terms = {"ssi": loss_ssi_scene(pred, gt, masks)}
+    total = T.mul(terms["ssi"], weights.alpha)
+    for name, fn, w in (("tgm", loss_tgm, weights.beta),
+                        ("sascon", loss_sascon, weights.gamma)):
+        if w != 0:
+            terms[name] = fn(pred, gt, masks)
+            total = T.add(total, T.mul(terms[name], w))
+    return total, terms
 
 
 def loss_total(pred, gt, masks, weights: LossWeights = LossWeights()) -> Tensor:
-    """Weighted sum of the three losses; gamma=0 reproduces the two-term
-    reference combination exactly (the consistency term is skipped)."""
-    total = T.mul(loss_ssi_scene(pred, gt, masks), weights.alpha)
-    if weights.beta != 0:
-        total = T.add(total, T.mul(loss_tgm(pred, gt, masks), weights.beta))
-    if weights.gamma != 0:
-        total = T.add(total, T.mul(loss_sascon(pred, gt, masks),
-                                   weights.gamma))
-    return total
+    """Weighted sum of the three losses. A zero beta or gamma skips its
+    term, so gamma=0 reproduces the two-term reference combination
+    exactly."""
+    return _weighted_losses(pred, gt, masks, weights)[0]
 
 
 def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
@@ -204,34 +189,25 @@ def train_step(model: DepthModel, batch, weights: LossWeights,
     """One gradient-descent step on the head; the encoder stays frozen.
 
     batch: list of (features [N, S, C_enc], gt inverse-depth [N, H, W],
-    masks [N, H, W]). Returns the per-term loss record for the log.
+    masks [N, H, W]). The loss is loss_total's, averaged over the batch.
+    Returns the per-term loss record for the log; a term skipped by a
+    zero beta or gamma reads 0.0.
     """
     lr = (_cosine_lr(cfg.learning_rate, step, cfg.steps)
           if cfg.cosine_schedule else cfg.learning_rate)
-    record = {"step": step, "lr": lr}
     with Tape() as tape:
-        totals, ssis, tgms, sascons = [], [], [], []
+        totals, logs = [], []
         for feats, gt, masks in batch:
-            pred = model.head_forward_batch(feats)
-            ssi = loss_ssi_scene(pred, gt, masks)
-            tgm = loss_tgm(pred, gt, masks)
-            ssis.append(ssi.item())
-            tgms.append(tgm.item())
-            seq_total = T.add(T.mul(ssi, weights.alpha),
-                              T.mul(tgm, weights.beta))
-            if weights.gamma != 0:
-                sas = loss_sascon(pred, gt, masks)
-                sascons.append(sas.item())
-                seq_total = T.add(seq_total, T.mul(sas, weights.gamma))
-            totals.append(seq_total)
+            total, terms = _weighted_losses(model.head_forward_batch(feats),
+                                            gt, masks, weights)
+            totals.append(total)
+            logs.append({k: v.item() for k, v in terms.items()})
         loss = totals[0]
         for extra in totals[1:]:
             loss = T.add(loss, extra)
         loss = T.mul(loss, 1.0 / len(totals))
         if not np.isfinite(loss.data).all():
-            raise T.NonFiniteError(
-                f"non-finite loss at step {step}: "
-                f"ssi={ssis} tgm={tgms} sascon={sascons}")
+            raise T.NonFiniteError(f"non-finite loss at step {step}: {logs}")
         tape.backward(loss)
     if lr != 0:
         for _, p in model.head_parameters():
@@ -239,10 +215,9 @@ def train_step(model: DepthModel, batch, weights: LossWeights,
                 p.data = (p.data - lr * p.grad).astype(p.data.dtype)
     for _, p in model.head_parameters():
         p.grad = None
-    record.update(loss=loss.item(),
-                  ssi=float(np.mean(ssis)),
-                  tgm=float(np.mean(tgms)),
-                  sascon=float(np.mean(sascons)) if sascons else 0.0)
+    record = {"step": step, "lr": lr, "loss": loss.item()}
+    for name in ("ssi", "tgm", "sascon"):
+        record[name] = float(np.mean([log.get(name, 0.0) for log in logs]))
     return record
 
 

@@ -74,6 +74,33 @@ class TestTrain:
         _, extra2 = load_checkpoint(out / "model.ckpt")
         assert extra2["steps_done"] == 5
 
+    def test_resume_takes_omitted_model_flags_from_checkpoint(
+            self, pipeline, tmp_path):
+        out = tmp_path / "resumed"
+        assert run("train", "--data", str(pipeline["data"]),
+                   "--out", str(out), "--steps", "1",
+                   "--resume", str(pipeline["ckpt"])) == 0
+        model, _ = load_checkpoint(out / "model.ckpt")
+        record = json.loads((out / "run_config.json").read_text())
+        assert (model.cfg.context, model.cfg.cache_modulus,
+                model.cfg.precision) == (4, 1, "fp32")
+        assert {k: record[k] for k in ("context", "caches", "precision",
+                                       "height", "width")} == {
+            "context": 4, "caches": 1, "precision": "fp32",
+            "height": 32, "width": 32}
+
+    @pytest.mark.parametrize("flags", [("--context", "8"), ("--caches", "2"),
+                                       ("--precision", "fp16"),
+                                       ("--height", "16")])
+    def test_resume_rejects_conflicting_model_flag(self, pipeline, tmp_path,
+                                                   flags, capsys):
+        out = tmp_path / "resumed"
+        assert run("train", "--data", str(pipeline["data"]),
+                   "--out", str(out), "--steps", "1",
+                   "--resume", str(pipeline["ckpt"]), *flags) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_data_dir_is_usage_error(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")) == 1

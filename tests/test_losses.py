@@ -8,7 +8,7 @@ from depthstream.losses import (ABLATION_ROWS, AugmentConfig, LossWeights,
                                 loss_tgm, loss_total, temporal_gradient_error,
                                 train_step)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.tensor import Tensor, gradcheck
+from depthstream.tensor import Tape, Tensor, gradcheck
 
 
 def affine_instance(seed=0, frames=3, shape=(4, 5), a=1.8, b=0.4):
@@ -66,8 +66,9 @@ class TestTgm:
         masks = np.ones_like(gt, dtype=bool)
         assert temporal_gradient_error(aligned, gt, masks).item() == \
             pytest.approx(1.0, abs=1e-6)
-        assert loss_tgm(aligned, gt, masks, align=False).item() == \
-            pytest.approx(1.0, abs=1e-6)
+        # loss_tgm aligns first: the pooled fit maps [1, 3] onto [1, 2]
+        assert loss_tgm(aligned, gt, masks).item() == \
+            pytest.approx(0.0, abs=1e-6)
 
     def test_constant_offset_invariance(self):
         _, gt, masks = affine_instance(seed=7)
@@ -119,13 +120,66 @@ class TestSascon:
         assert loss_sascon(mapped, gt, masks).item() == pytest.approx(
             base, abs=1e-5)
 
-    def test_gradcheck(self):
-        pred, gt, masks = affine_instance(seed=14, frames=2, shape=(3, 3))
+    @pytest.mark.parametrize("frames,invalid", [(2, 0), (4, 2)],
+                             ids=["all_valid", "partly_masked"])
+    def test_gradcheck(self, frames, invalid):
+        pred, gt, _ = affine_instance(seed=14, frames=frames, shape=(3, 3))
+        masks = uneven_masks(frames, (3, 3), invalid, seed=14)
         noisy = pred + np.random.default_rng(15).normal(
             0, 0.2, pred.shape).astype(np.float32)
         param = Tensor(noisy, requires_grad=True)
         rep = gradcheck(lambda: loss_sascon(param, gt, masks), [param])
         assert rep["passed"], rep
+
+    @pytest.mark.parametrize("frames", [2, 5, 17])
+    def test_matches_float64_per_frame_reference(self, frames):
+        rng = np.random.default_rng(frames)
+        gt = rng.uniform(0.5, 2.0, (frames, 6, 7))
+        pred = (gt * rng.uniform(0.5, 2.0, (frames, 1, 1))
+                + rng.normal(0, 0.2, gt.shape))
+        masks = uneven_masks(frames, (6, 7), 1, seed=frames)
+        assert len({int(m.sum()) for m in masks}) == frames
+        got = loss_sascon(pred.astype(np.float32), gt.astype(np.float32),
+                          masks).item()
+        assert got == pytest.approx(sascon_reference(pred, gt, masks),
+                                    rel=1e-5)
+
+    @pytest.mark.parametrize("flaw", ["one_valid_pixel", "constant_frame"])
+    def test_degenerate_later_frame_raises(self, flaw):
+        pred, gt, masks = affine_instance(seed=16, frames=4)
+        if flaw == "one_valid_pixel":
+            masks[2] = False
+            masks[2, 0, 0] = True
+        else:
+            pred[2] = 0.5
+        with pytest.raises(DegenerateAlignment):
+            loss_sascon(pred, gt, masks)
+
+
+def uneven_masks(frames, shape, invalid_step, seed):
+    """Masks whose frame i has invalid_step * i invalid pixels."""
+    rng = np.random.default_rng(seed)
+    masks = np.ones((frames, *shape), dtype=bool)
+    for i, m in enumerate(masks.reshape(frames, -1)):
+        m[rng.permutation(m.size)[:invalid_step * i]] = False
+    return masks
+
+
+def sascon_reference(pred, gt, masks):
+    """float64 loop: per frame, the mean over valid pixels of |frame
+    aligned by frame 0's fit - frame aligned by its own fit|."""
+    def fit(i):
+        p, g = pred[i][masks[i]], gt[i][masks[i]]
+        design = np.stack([p, np.ones_like(p)], axis=1)
+        return np.linalg.lstsq(design, g, rcond=None)[0]
+
+    s0, t0 = fit(0)
+    gaps = []
+    for i in range(len(pred)):
+        s, t = fit(i)
+        p = pred[i][masks[i]]
+        gaps.append(np.abs((p * s0 + t0) - (p * s + t)).mean())
+    return float(np.mean(gaps))
 
 
 class TestTotalLoss:
@@ -161,6 +215,17 @@ class TestTotalLoss:
                          T.mul(loss_tgm(pred, gt, masks), 1.0))
         total = loss_total(pred, gt, masks, LossWeights(1, 1, 0))
         assert total.item() == two_term.item()
+
+    def test_tape_size_does_not_grow_with_frames(self):
+        sizes = []
+        for frames in (4, 32):
+            pred, gt, masks = affine_instance(seed=23, frames=frames)
+            masks[1:, 0, 0] = False
+            param = Tensor(pred, requires_grad=True)
+            with Tape() as tape:
+                loss_total(param, gt, masks)
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1]
 
 
 class TestFrameAugment:
@@ -235,6 +300,19 @@ class TestTrainStep:
         moved = any(np.any(t.data != b)
                     for (_, t), b in zip(model.head_parameters(), before))
         assert moved
+
+    @pytest.mark.parametrize("weights", [LossWeights(1, 1, 1),
+                                         LossWeights(1, 0, 1)])
+    def test_logged_loss_is_loss_total_bitwise(self, weights):
+        model = tiny_model()
+        batch = tiny_batch(model, seed=4, frames=4)
+        feats, gt, masks = batch[0]
+        expected = loss_total(model.head_forward_batch(feats), gt, masks,
+                              weights).item()
+        cfg = TrainConfig(learning_rate=0.0, steps=1, cosine_schedule=False)
+        rec = train_step(model, batch, weights, cfg)
+        assert rec["loss"] == expected
+        assert (rec["tgm"] == 0.0) == (weights.beta == 0)
 
     def test_log_record_fields(self):
         model = tiny_model()
