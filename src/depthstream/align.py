@@ -126,14 +126,6 @@ def _masked_pair(gt, pred, mask):
 class EvalReport:
     absrel: float
     delta1: float
-    align_degenerate: bool = False
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["metric", "value"])
-            w.writerow(["absrel", f"{self.absrel:.6f}"])
-            w.writerow(["delta1", f"{self.delta1:.6f}"])
 
 
 def _clip_gt(gt_frames):
@@ -158,8 +150,7 @@ def _pooled_metrics(pred_inv_frames, gt_frames, valid, align) -> EvalReport:
     g = np.concatenate(gts)
     p = np.concatenate(preds)
     m = np.concatenate(masks)
-    return EvalReport(absrel(g, p, m), delta1(g, p, m),
-                      align_degenerate=align.degenerate)
+    return EvalReport(absrel(g, p, m), delta1(g, p, m))
 
 
 def eval_first_frame(pred: DepthSequence, gt: DepthSequence) -> EvalReport:

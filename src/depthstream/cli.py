@@ -1,7 +1,7 @@
 """Operator-facing command line.
 
 Subcommands: gen, train, stream, infer-batch, eval, drift, bench, check.
-Every run writes a reproducibility record (resolved config + seed) next to
+Every run writes a reproducibility record (its resolved flags) next to
 its outputs. Exit codes: 0 success, 1 usage error, 2 check failure.
 """
 
@@ -69,11 +69,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_model(args) -> DepthModel:
-    model, _ = load_checkpoint(args.model)
-    return model
-
-
 def _manifests(data_dir) -> list[Path]:
     paths = sorted(Path(data_dir).glob("*.manifest"))
     if not paths:
@@ -128,26 +123,32 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _timed_stream(model: DepthModel, args, frames, features: bool = False):
+    """Stream rgb frames, or encoder features if `features`, through a new
+    session set by --context/--caches/--precision with finite checks off;
+    return the outputs, per-frame wall ms and the final cache bytes."""
+    session = model.new_session(context=args.context,
+                                cache_modulus=args.caches,
+                                precision=PrecisionMode(args.precision))
+    step = session.head_forward_stream if features else session.step_rgb
+    outs, ms = [], []
+    with finite_checks(False):
+        for frame in frames:
+            t0 = time.perf_counter()
+            outs.append(step(frame))
+            ms.append((time.perf_counter() - t0) * 1e3)
+    return outs, ms, session.memory_footprint()
+
+
 def _infer_common(args, streaming: bool) -> int:
     out = Path(args.out)
     _write_run_record(out, args)
-    model = _load_model(args)
-    precision = PrecisionMode(args.precision)
+    model, _ = load_checkpoint(args.model)
     for mpath in _manifests(args.data):
         rgb, _, _ = load_sequence(mpath, stride=args.stride)
         seq_id = mpath.stem
-        latencies = []
-        preds = []
         if streaming:
-            session = model.new_session(context=args.context,
-                                        cache_modulus=args.caches,
-                                        precision=precision)
-            with finite_checks(False):
-                for frame in rgb:
-                    t0 = time.perf_counter()
-                    preds.append(session.step_rgb(frame))
-                    latencies.append((time.perf_counter() - t0) * 1e3)
-            footprint = session.memory_footprint()
+            preds, latencies, footprint = _timed_stream(model, args, rgb)
         else:
             with finite_checks(False):
                 t0 = time.perf_counter()
@@ -178,10 +179,6 @@ def cmd_stream(args) -> int:
 
 
 def cmd_infer_batch(args) -> int:
-    if args.caches != 1 or args.precision != "fp32":
-        print("error: --caches and --precision fp16 apply to stream only",
-              file=sys.stderr)
-        return USAGE_ERROR
     return _infer_common(args, streaming=False)
 
 
@@ -245,24 +242,15 @@ def cmd_drift(args) -> int:
 def cmd_bench(args) -> int:
     out = Path(args.out)
     _write_run_record(out, args)
-    model = _load_model(args) if args.model else DepthModel(ModelConfig(
-        context=args.context, seed=args.seed))
+    model = load_checkpoint(args.model)[0] if args.model else DepthModel(
+        ModelConfig(context=args.context, seed=args.seed))
     cfg = model.cfg
     n = args.frames
     rng = np.random.default_rng(args.seed)
     rgb = rng.random((n, cfg.height, cfg.width, 3)).astype(np.float32)
     feats = model.encoder.encode_sequence(rgb)
-    precision = PrecisionMode(args.precision)
+    _, stream_ms, footprint = _timed_stream(model, args, feats, features=True)
     with finite_checks(False):
-        session = model.new_session(context=args.context,
-                                    cache_modulus=args.caches,
-                                    precision=precision)
-        stream_ms = []
-        for f in feats:
-            t0 = time.perf_counter()
-            session.head_forward_stream(f)
-            stream_ms.append((time.perf_counter() - t0) * 1e3)
-        footprint = session.memory_footprint()
         # without a cache, each arriving frame forces a full-sequence
         # recompute, so the per-frame cost of the batch strategy is the
         # cost of one whole banded pass
@@ -296,14 +284,10 @@ def cmd_check(args) -> int:
     return 0 if ok else CHECK_FAILURE
 
 
-def _add_common(p, model_flag=False):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--context", type=int, default=16)
+def _add_cache_flags(p):
     p.add_argument("--caches", type=int, default=1,
                    help="cache stride m: the window spans about m x c frames")
     p.add_argument("--precision", choices=["fp32", "fp16"], default="fp32")
-    if model_flag:
-        p.add_argument("--model", required=True, help="model checkpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,16 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--cosine", action="store_true", default=True)
     p.add_argument("--no-cosine", dest="cosine", action="store_false")
     p.add_argument("--resume", default=None,
                    help="checkpoint to continue; the model flags below "
                         "default to its values and must match them")
     p.add_argument("--height", type=int)
     p.add_argument("--width", type=int)
-    _add_common(p)
-    p.set_defaults(context=None, caches=None, precision=None)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--context", type=int)
+    _add_cache_flags(p)
+    p.set_defaults(caches=None, precision=None, func=cmd_train)
 
     for name, fn, help_text in (
             ("stream", cmd_stream, "streaming inference over manifests"),
@@ -352,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--stride", type=int, default=1, choices=[1, 2, 3, 4])
-        _add_common(p, model_flag=True)
+        p.add_argument("--context", type=int, default=16)
+        p.add_argument("--model", required=True, help="model checkpoint")
+        if fn is cmd_stream:
+            _add_cache_flags(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("eval", help="evaluate predictions against gt")
@@ -362,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align", choices=["first", "global500", "globalall"],
                    default="first")
     p.add_argument("--stride", type=int, default=1, choices=[1, 2, 3, 4])
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("drift", help="scale-drift curve")
@@ -372,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth", type=int, default=4,
                    help="moving-average window; 1 disables smoothing")
     p.add_argument("--stride", type=int, default=1, choices=[1, 2, 3, 4])
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("bench", help="latency/memory report")
@@ -380,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", type=int, default=16)
-    p.add_argument("--caches", type=int, default=1)
-    p.add_argument("--precision", choices=["fp32", "fp16"], default="fp32")
+    _add_cache_flags(p)
     p.add_argument("--model", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -163,12 +163,14 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     total = h * w
     budget_px = int(cfg.max_fraction * total)
     max_area = max(1, int(cfg.max_rect_fraction * total))
+    # side bounds (exclusive) are capped so a rectangle fits the frame
+    rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
     for f in range(n):
         target = rng.uniform(0.0, cfg.max_fraction)
         mask = np.zeros((h, w), dtype=bool)
         while mask.sum() < target * total:
-            rh = rng.integers(1, max(2, int(np.sqrt(max_area)) + 1))
-            rw = rng.integers(1, max(2, max_area // rh + 1))
+            rh = rng.integers(1, rh_end)
+            rw = rng.integers(1, min(max(2, max_area // rh + 1), w + 1))
             y = rng.integers(0, h - rh + 1)
             x = rng.integers(0, w - rw + 1)
             new = mask.copy()

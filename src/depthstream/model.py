@@ -142,10 +142,6 @@ class DepthModel:
         out += [("w_out", self.w_out), ("b_out", self.b_out)]
         return out
 
-    def encoder_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return [("encoder.weight", self.encoder.weight),
-                ("encoder.bias", self.encoder.bias)]
-
     # --- forward passes -----------------------------------------------
     def _readout(self, h: Tensor, n_frames: int) -> Tensor:
         cfg = self.cfg
@@ -245,6 +241,12 @@ class StreamingSession:
 # for each head parameter in declared order, then encoder weight/bias:
 #   raw float32 little-endian values, shapes implied by the config.
 
+def _stored_arrays(model: DepthModel) -> list[np.ndarray]:
+    """Every checkpointed array, in the order the format stores them."""
+    return [t.data for _, t in model.head_parameters()] + [
+        model.encoder.weight, model.encoder.bias]
+
+
 def save_checkpoint(model: DepthModel, path, extra: dict | None = None):
     cfg = asdict(model.cfg)
     cfg["fusion_factors"] = list(model.cfg.fusion_factors)
@@ -255,10 +257,7 @@ def save_checkpoint(model: DepthModel, path, extra: dict | None = None):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for _, t in model.head_parameters():
-            f.write(np.ascontiguousarray(
-                t.data.astype("<f4", copy=False)).tobytes())
-        for _, arr in model.encoder_parameters():
+        for arr in _stored_arrays(model):
             f.write(np.ascontiguousarray(
                 arr.astype("<f4", copy=False)).tobytes())
 
@@ -273,18 +272,11 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
         extra = cfg.pop("extra", {})
         cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
         model = DepthModel(ModelConfig(**cfg))
-        for _, t in model.head_parameters():
-            raw = f.read(4 * t.data.size)
-            if len(raw) != 4 * t.data.size:
-                raise ValueError("truncated checkpoint")
-            t.data = np.frombuffer(raw, dtype="<f4").reshape(
-                t.data.shape).astype(np.float32)
-        for name, arr in model.encoder_parameters():
+        for arr in _stored_arrays(model):
             raw = f.read(4 * arr.size)
             if len(raw) != 4 * arr.size:
                 raise ValueError("truncated checkpoint")
-            loaded = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
-            arr[...] = loaded
+            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint")
     return model, extra

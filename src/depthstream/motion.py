@@ -134,11 +134,11 @@ def _attend(query: Tensor, keys: Tensor, band: int,
                     params.bo)
 
 
-def attend_streaming(current, window, params: MotionModuleParams):
-    """Cached cross-attention for one frame, [S, C] or [S, 1, C] (the
-    result has its shape), against the [w, S, C] window of stored latents,
-    oldest to newest, whose newest entry is the frame itself (cache
-    updated before attending). With w == 1 this is self-attention.
+def attend_streaming(current: Tensor, window, params: MotionModuleParams):
+    """Cached cross-attention for one frame, token-major [S, 1, C], against
+    the [w, S, C] window of stored latents, oldest to newest, whose newest
+    entry is the frame itself (cache updated before attending). Returns
+    [S, 1, C]. With w == 1 this is self-attention.
     """
     window = np.asarray(window)
     w = len(window)
@@ -146,11 +146,8 @@ def attend_streaming(current, window, params: MotionModuleParams):
         raise ValueError("empty attention window")
     if w > params.context:
         raise ValueError(f"window {w} exceeds context {params.context}")
-    query = current if current.data.ndim == 3 else \
-        T.reshape(current, (current.shape[0], 1, -1))
-    out = _attend(query, T.constant(window.transpose(1, 0, 2)),
-                  params.context, params)
-    return out if current.data.ndim == 3 else T.reshape(out, current.shape)
+    return _attend(current, T.constant(window.transpose(1, 0, 2)),
+                   params.context, params)
 
 
 def attend_batch_masked(seq: Tensor, band: int,
@@ -173,13 +170,13 @@ def motion_module_forward_batch(x: Tensor, band: int,
 def motion_module_forward_stream(x: Tensor, frame_index: int,
                                  bank: CacheBank,
                                  params: MotionModuleParams) -> Tensor:
-    """Streaming counterpart for one frame, [S, C] or [S, 1, C].
+    """Streaming counterpart for one frame, token-major [S, 1, C].
 
     Pushes the current pre-PE latent into the bank before attending, then
     cross-attends against the bank's window.
     """
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    bank.push_evict(frame_index, h.data.reshape(h.shape[0], -1))
+    bank.push_evict(frame_index, h.data[:, 0])
     # the newest window entry is the stored copy of h; use h itself as the
     # query so gradients (when taped) flow through the current frame
     y = attend_streaming(h, bank.window(), params)

@@ -1,10 +1,11 @@
 """Minimal dense-tensor arithmetic with reverse-mode differentiation.
 
 Tensors wrap row-major numpy arrays in the working precision (float32 by
-default). Operations record their backward rules onto the currently active
-Tape; with no tape active they are plain numpy computations. Gradient
-checking runs the same code under float64 to keep finite differences out of
-the float32 noise floor.
+default). Operations are module functions (T.add, T.linear, ...); a Tensor
+overloads no operator except indexing. Each op records its backward rule
+onto the active Tape; with no tape active it is a plain numpy computation.
+Gradient checking runs the same code under float64 to keep finite
+differences out of the float32 noise floor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "layer_norm",
     "linear",
     "relu",
-    "backward",
     "gradcheck",
     "working_dtype",
     "finite_checks",
@@ -96,34 +96,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -160,9 +132,6 @@ class Tape:
     def record(self, out: Tensor, inputs: Sequence[Tensor], back: Callable):
         self._nodes.append((out, tuple(inputs), back))
 
-    def clear(self):
-        self._nodes.clear()
-
     def __len__(self):
         return len(self._nodes)
 
@@ -188,10 +157,6 @@ class Tape:
             for t in (out, *inputs):
                 if t.requires_grad and id(t) in grads:
                     t.grad = grads[id(t)]
-
-
-def backward(loss: Tensor, tape: Tape):
-    tape.backward(loss)
 
 
 def _finish(out_data, inputs: Sequence[Tensor], back: Callable) -> Tensor:

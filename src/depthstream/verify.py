@@ -120,6 +120,13 @@ def run_all(seed: int = 0, verbose_print=print) -> bool:
                       f"max_abs_diff={res['max_abs_diff']:.2e} "
                       f"{'PASS' if res['passed'] else 'FAIL'}")
         ok &= res["passed"]
+    # the gate must be able to fail: a mask band one wider than the cache
+    # breaks the equivalence, so a passing gate here is a check failure
+    res = streaming_equivalence_check(4, 9, seed, band_override=5)
+    verbose_print(f"self-test band 5 vs cache 4 must fail the gate: "
+                  f"max_abs_diff={res['max_abs_diff']:.2e} "
+                  f"{'FAIL' if res['passed'] else 'PASS'}")
+    ok &= not res["passed"]
     res = alignment_oracle_check(trials=20, seed=seed)
     verbose_print(f"alignment oracle: worst_gap={res['worst_gap']:.2e} "
                   f"{'PASS' if res['passed'] else 'FAIL'}")

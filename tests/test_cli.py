@@ -145,6 +145,26 @@ class TestInference:
                    "--context", "4", *flags) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("stream", "--seed", "1"), ("infer-batch", "--seed", "1"),
+        ("eval", "--seed", "1"), ("drift", "--seed", "1"),
+        ("train", "--cosine")], ids=" ".join)
+    def test_flags_that_did_nothing_are_rejected(self, pipeline, tmp_path,
+                                                 argv, capsys):
+        command, *flags = argv
+        required = {"stream": ("--data", "--model"),
+                    "infer-batch": ("--data", "--model"),
+                    "eval": ("--pred", "--gt"), "drift": ("--pred", "--gt"),
+                    "train": ("--data",)}[command]
+        paths = {"--data": pipeline["data"], "--model": pipeline["ckpt"],
+                 "--pred": pipeline["data"], "--gt": pipeline["data"]}
+        argv = [command, "--out", str(tmp_path / "o"), *flags]
+        for flag in required:
+            argv += [flag, str(paths[flag])]
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_stride_reduces_frames(self, pipeline, tmp_path):
         out = tmp_path / "s2"
         assert run("stream", "--data", str(pipeline["data"]), "--out",
@@ -222,7 +242,27 @@ class TestBench:
 class TestCheck:
     def test_check_passes(self, capsys):
         assert run("check", "--seed", "0") == 0
-        assert "ALL CHECKS PASSED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ALL CHECKS PASSED" in out
+        assert "self-test band 5 vs cache 4 must fail the gate" in out
+
+    def test_check_fails_when_the_band_self_test_passes(self, monkeypatch,
+                                                        capsys):
+        # a gate with no tolerance passes every configuration, the widened
+        # band included, and check must report that as a failure
+        from depthstream import verify
+        real = verify.streaming_equivalence_check
+
+        def gate_that_cannot_fail(c, n, seed, band_override=None, tol=1e-5):
+            return real(c, n, seed, band_override, tol=float("inf"))
+
+        monkeypatch.setattr(verify, "streaming_equivalence_check",
+                            gate_that_cannot_fail)
+        assert run("check") == 2
+        lines = capsys.readouterr().out.splitlines()
+        self_test = [l for l in lines if l.startswith("self-test")]
+        assert len(self_test) == 1 and self_test[0].endswith("FAIL")
+        assert lines[-1] == "CHECK FAILURE"
 
     def test_check_failure_exit_code(self, monkeypatch, capsys):
         from depthstream import verify

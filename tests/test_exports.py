@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,28 @@ def test_all_names_exist(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Every name an import statement binds, with its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+# the package __init__ only re-exports, so it is not in MODULES
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    module = importlib.import_module(f"depthstream.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(getattr(module, "__all__", ()))
+    unused = {n: line for n, line in imported_names(tree).items()
+              if n not in used}
+    assert unused == {}

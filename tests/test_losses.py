@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthstream.align import DegenerateAlignment
 from depthstream.losses import (ABLATION_ROWS, AugmentConfig, LossWeights,
@@ -255,6 +259,48 @@ class TestFrameAugment:
         rgb = np.random.default_rng(26).random((2, 8, 8, 3))
         out = frame_augment(rgb, AugmentConfig(), np.random.default_rng(2))
         assert out.shape == rgb.shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.integers(16, 128),
+           max_fraction=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_frame_size_stays_within_budget(self, size, max_fraction,
+                                                seed):
+        # above 48 px an uncapped rectangle side can exceed the frame
+        rgb = np.random.default_rng(seed).uniform(
+            0.1, 1.0, (2, size, size, 3)).astype(np.float32)
+        before = rgb.copy()
+        cfg = AugmentConfig(max_fraction=max_fraction)
+        out = frame_augment(rgb, cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(rgb, before)
+        zeroed = (out == 0).all(axis=-1)
+        assert (zeroed.sum(axis=(1, 2))
+                <= int(max_fraction * size * size)).all()
+        np.testing.assert_array_equal(out[~zeroed], rgb[~zeroed])
+
+    def test_fixed_seed_output_is_pinned(self):
+        # sha256 of the 32x32 output; the draws must not change where a
+        # rectangle already fits the frame (every size up to 48 px)
+        rgb = np.random.default_rng(1).random((4, 32, 32, 3)).astype(
+            np.float32)
+        out = frame_augment(rgb, AugmentConfig(), np.random.default_rng(0))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "1cfcfd4ca5116f307dc726186b2fe896"
+            "189be6fb3630067abf3f71a0250adaeb")
+
+    def test_trainer_augments_64px_clips_leaving_depth_alone(self):
+        rng = np.random.default_rng(27)
+        gt = rng.uniform(0.2, 1.0, (4, 64, 64)).astype(np.float32)
+        sequences = [(rng.random((4, 64, 64, 3)).astype(np.float32),
+                      gt.copy(), np.ones((4, 64, 64), dtype=bool))]
+        model = DepthModel(ModelConfig(height=64, width=64, patch_size=8,
+                                       encoder_channels=6, head_channels=8,
+                                       num_motion_modules=1, context=4))
+        trainer = Trainer(model, sequences, LossWeights(),
+                          TrainConfig(steps=3, seed=0), AugmentConfig())
+        trainer.run()
+        assert len(trainer.log) == 3
+        np.testing.assert_array_equal(sequences[0][1], gt)
 
 
 def tiny_model():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,23 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # sha256 of the tiny checkpoint below; any change to the byte format
+    # or to parameter order or initialisation changes it
+    GOLDEN_SHA256 = ("fa6d943720c4dd9d2d031f1ec4a9c922"
+                     "5a8610df162ab779f6ce6449217769cc")
+
+    def test_golden_bytes_and_round_trip(self, tmp_path):
+        tiny = ModelConfig(height=8, width=8, patch_size=4, encoder_channels=4,
+                           head_channels=4, num_motion_modules=2, context=3,
+                           seed=5)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(DepthModel(tiny), p1, extra={"steps_done": 7})
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
+            self.GOLDEN_SHA256
+        loaded, extra = load_checkpoint(p1)
+        save_checkpoint(loaded, p2, extra=extra)
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTAMODELxxxx")
@@ -212,6 +231,14 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_last_byte_missing_rejected(self, model, tmp_path):
+        # the cut falls in the encoder bias, the last array stored
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, model, tmp_path):

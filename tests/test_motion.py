@@ -19,6 +19,11 @@ def rand_latents(n, s, c, seed=0):
     return np.random.default_rng(seed).normal(size=(n, s, c)).astype(np.float32)
 
 
+def frame(latent):
+    """One frame's [S, C] latents in the streaming layout [S, 1, C]."""
+    return Tensor(latent[:, None])
+
+
 def dense_attention_oracle(seq, params, band=None):
     """Brute-force causal-banded attention without any caching: dense
     per-token computation straight from the definition, keys and values
@@ -48,20 +53,20 @@ class TestAttendStreaming:
     def test_empty_window_rejected(self):
         params = make_params()
         with pytest.raises(ValueError):
-            attend_streaming(Tensor(rand_latents(1, 4, 8)[0]), [], params)
+            attend_streaming(Tensor(rand_latents(4, 1, 8)), [], params)
 
     def test_oversized_window_rejected(self):
         params = make_params(context=2)
         x = rand_latents(3, 4, 8)
         with pytest.raises(ValueError):
-            attend_streaming(Tensor(x[0]), list(x), params)
+            attend_streaming(frame(x[0]), list(x), params)
 
     def test_uniform_weights_symmetry(self):
         # identical latents + zero PE: output independent of window length
         params = make_params()
         params.pe_table = Tensor(np.zeros_like(params.pe_table.data))
         x = rand_latents(1, 4, 8, seed=5)[0]
-        outs = [attend_streaming(Tensor(x), [x] * w, params).data
+        outs = [attend_streaming(frame(x), [x] * w, params).data
                 for w in (1, 2, 4)]
         for o in outs[1:]:
             np.testing.assert_allclose(o, outs[0], atol=1e-6)
@@ -70,8 +75,8 @@ class TestAttendStreaming:
         params = make_params(channels=8, context=4, seed=7)
         seq = rand_latents(3, 4, 8, seed=8)
         dense = dense_attention_oracle(seq, params)
-        got = attend_streaming(Tensor(seq[2]), list(seq), params).data
-        np.testing.assert_allclose(got, dense[2], atol=1e-6)
+        got = attend_streaming(frame(seq[2]), list(seq), params).data
+        np.testing.assert_allclose(got[:, 0], dense[2], atol=1e-6)
 
 
 class TestAttendBatchMasked:
@@ -87,8 +92,9 @@ class TestAttendBatchMasked:
         params = make_params()
         seq = rand_latents(1, 4, 8, seed=9)
         batch = attend_batch_masked(Tensor(seq), 4, params)
-        stream = attend_streaming(Tensor(seq[0]), [seq[0]], params)
-        np.testing.assert_allclose(batch.data[0], stream.data, atol=1e-7)
+        stream = attend_streaming(frame(seq[0]), [seq[0]], params)
+        np.testing.assert_allclose(batch.data[0], stream.data[:, 0],
+                                   atol=1e-7)
 
     def test_wide_band_is_plain_causal(self):
         params = make_params(context=8)
@@ -106,8 +112,8 @@ class TestAttendBatchMasked:
             window.append(seq[q])
             if len(window) > 4:
                 window.pop(0)
-            got = attend_streaming(Tensor(seq[q]), list(window), params).data
-            np.testing.assert_allclose(got, batch[q], atol=1e-5)
+            got = attend_streaming(frame(seq[q]), list(window), params).data
+            np.testing.assert_allclose(got[:, 0], batch[q], atol=1e-5)
 
     def test_attention_rows_sum_to_one(self):
         # indirect: uniform-value window must return the value itself
@@ -115,9 +121,10 @@ class TestAttendBatchMasked:
         params.pe_table = Tensor(np.zeros_like(params.pe_table.data))
         x = rand_latents(1, 4, 8, seed=13)[0]
         v_expected = (x + 0) @ params.wv.data + params.bv.data
-        got = attend_streaming(Tensor(x), [x, x, x], params).data
+        got = attend_streaming(frame(x), [x, x, x], params).data
         np.testing.assert_allclose(
-            got, v_expected @ params.wo.data + params.bo.data, atol=1e-5)
+            got[:, 0], v_expected @ params.wo.data + params.bo.data,
+            atol=1e-5)
 
 
 class TestMotionModule:
@@ -135,9 +142,9 @@ class TestMotionModule:
         batch = motion_module_forward_batch(Tensor(seq), 4, params).data
         bank = CacheBank(4, 1)
         for t in range(8):
-            got = motion_module_forward_stream(Tensor(seq[t]), t, bank,
+            got = motion_module_forward_stream(frame(seq[t]), t, bank,
                                                params).data
-            np.testing.assert_allclose(got, batch[t], atol=1e-5)
+            np.testing.assert_allclose(got[:, 0], batch[t], atol=1e-5)
 
     def test_causality(self):
         params = make_params(channels=8, context=4, seed=17)
@@ -176,8 +183,8 @@ class TestMotionModule:
         def outputs():
             batch = motion_module_forward_batch(Tensor(seq), 4, params).data
             bank = CacheBank(4, 1)
-            stream = [motion_module_forward_stream(Tensor(seq[t]), t, bank,
-                                                   params).data
+            stream = [motion_module_forward_stream(frame(seq[t]), t, bank,
+                                                   params).data[:, 0]
                       for t in range(6)]
             return batch, np.stack(stream)
 

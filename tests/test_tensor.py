@@ -145,14 +145,6 @@ class TestBackward:
             with pytest.raises(NonFiniteError):
                 tape.backward(x)
 
-    def test_cleared_tape_is_empty(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with Tape() as tape:
-            T.sum_(T.mul(x, x))
-            assert len(tape) > 0
-            tape.clear()
-            assert len(tape) == 0
-
 
 class TestNonFiniteDetection:
     def test_div_by_zero_raises(self):
