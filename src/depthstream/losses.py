@@ -24,6 +24,7 @@ __all__ = [
     "frame_augment", "train_step", "Trainer", "ablation_suite",
     "ABLATION_ROWS",
 ]
+_RECT_CHUNK = 32  # frame_augment's rectangles per unfinished frame and round
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,12 @@ def loss_total(pred, gt, masks, weights: LossWeights = LossWeights()) -> Tensor:
 
 def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
                   rng: np.random.Generator) -> np.ndarray:
-    """Zero random rectangles per frame; per-frame target coverage is
-    uniform in [0, max_fraction] and the realized union never exceeds it
-    beyond the cap. Depth targets are untouched by construction."""
+    """Zero i.i.d. random rectangles per frame, in all channels, while the
+    union is below a target from U[0, max_fraction); the first that would
+    push it above int(max_fraction * H * W) is rejected and ends the
+    frame. Every unfinished frame draws _RECT_CHUNK rectangles at a time."""
+    if cfg.max_fraction > 1:
+        raise ValueError(f"max_fraction {cfg.max_fraction} > 1 is unreachable")
     out = np.array(rgb_seq, copy=True)
     if not cfg.enabled or cfg.max_fraction <= 0:
         return out
@@ -165,20 +169,33 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     max_area = max(1, int(cfg.max_rect_fraction * total))
     # side bounds (exclusive) are capped so a rectangle fits the frame
     rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
-    for f in range(n):
-        target = rng.uniform(0.0, cfg.max_fraction)
-        mask = np.zeros((h, w), dtype=bool)
-        while mask.sum() < target * total:
-            rh = rng.integers(1, rh_end)
-            rw = rng.integers(1, min(max(2, max_area // rh + 1), w + 1))
-            y = rng.integers(0, h - rh + 1)
-            x = rng.integers(0, w - rw + 1)
-            new = mask.copy()
-            new[y:y + rh, x:x + rw] = True
-            if new.sum() > budget_px:
-                break
-            mask = new
-        out[f][mask] = 0.0
+    goal = rng.uniform(0.0, cfg.max_fraction, n) * total
+    mask = np.zeros((n, total), dtype=bool)
+    live = np.flatnonzero(goal > 0)
+    while live.size:
+        rh = rng.integers(1, rh_end, (live.size, _RECT_CHUNK))
+        rw = rng.integers(1, np.clip(max_area // rh + 1, 2, w + 1))
+        y, x = rng.integers(0, h - rh + 1), rng.integers(0, w - rw + 1)
+        # the flat pixel ids of every rectangle, rectangle after rectangle
+        area = (rh * rw).ravel()
+        rect = np.repeat(np.arange(area.size), area)
+        row, col = np.divmod(np.arange(rect.size) - np.repeat(
+            np.cumsum(area) - area, area), rw.ravel()[rect])
+        ids = ((live[:, None] * h + y) * w + x).ravel()[rect] + row * w + col
+        # an uncovered pixel counts for the first rectangle covering it
+        fresh = ~mask.ravel()[ids]
+        _, first = np.unique(ids[fresh], return_index=True)
+        gain = np.bincount(rect[fresh][first],
+                           minlength=area.size).reshape(rh.shape)
+        union = mask[live].sum(axis=1, keepdims=True) + gain.cumsum(axis=1)
+        # a frame stops at its first rectangle that crosses the budget
+        # (rejected) or reaches the goal (kept)
+        over = union > budget_px
+        done = over | (union >= goal[live, None])
+        accepted = ~over & (np.cumsum(done, axis=1) == done)
+        mask.ravel()[ids[accepted.ravel()[rect]]] = True
+        live = live[~done.any(axis=1)]
+    out[mask.reshape(n, h, w)] = 0.0
     return out
 
 
@@ -248,8 +265,7 @@ class Trainer:
                       if len(rgb[::s]) >= 2] or [1]
             stride = int(self.rng.choice(usable))
             rgb_s, gt_s, m_s = rgb[::stride], gt[::stride], masks[::stride]
-            if self.augment.enabled:
-                rgb_s = frame_augment(rgb_s, self.augment, self.rng)
+            rgb_s = frame_augment(rgb_s, self.augment, self.rng)
             feats = self.model.encoder.encode_sequence(rgb_s)
             batch.append((feats, gt_s, m_s))
         return batch

@@ -376,10 +376,13 @@ def transpose(x, axes) -> Tensor:
 def getitem(x, idx) -> Tensor:
     x = _as_tensor(x)
     out = x.data[idx]
+    # a view means a basic index, which selects each element at most once
+    scatter = (np.ndarray.__setitem__ if np.may_share_memory(out, x.data)
+               else np.add.at)
 
     def back(g):
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
+        scatter(full, idx, g)
         return (full,)
 
     return _finish(np.array(out, copy=True), (x,), back)

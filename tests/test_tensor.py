@@ -145,6 +145,27 @@ class TestBackward:
             with pytest.raises(NonFiniteError):
                 tape.backward(x)
 
+    @pytest.mark.parametrize("idx", [
+        slice(1, None), slice(None, -1), 2, np.int64(-1),
+        (Ellipsis, slice(0, 3)), (None, 1, slice(None, None, 2)),
+        np.array([0, 2, 0, 0]), (np.array([1, 1]), np.array([3, 3])),
+    ], ids=["slice_from_1", "slice_to_-1", "int", "numpy_int", "ellipsis",
+            "newaxis_int_step", "repeated_rows", "repeated_element"])
+    def test_getitem_grad_scatters_each_use(self, idx):
+        # basic indices assign, fancy ones accumulate: both must equal
+        # adding g into zeros once per use of an element
+        data = np.random.default_rng(0).normal(size=(4, 5)).astype(
+            np.float32)
+        x = Tensor(data, requires_grad=True)
+        g = np.random.default_rng(1).normal(size=data[idx].shape).astype(
+            np.float32)
+        with Tape() as tape:
+            tape.backward(T.sum_(T.mul(x[idx], g)))
+        expected = np.zeros_like(data)
+        np.add.at(expected, idx, g)
+        assert x.grad.dtype == expected.dtype
+        np.testing.assert_array_equal(x.grad, expected)
+
 
 class TestNonFiniteDetection:
     def test_div_by_zero_raises(self):
