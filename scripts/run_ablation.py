@@ -13,7 +13,6 @@ import argparse
 
 import numpy as np
 
-from depthstream.align import DepthSequence
 from depthstream.data import Primitive, SceneSpec, generate_sequence
 from depthstream.losses import TrainConfig, ablation_suite
 from depthstream.model import DepthModel, ModelConfig
@@ -37,9 +36,7 @@ def main():
     size = (16, 16)
     rgb, depth, valid = scene(args.seed + 5, 20, size)
     train_seqs = [(rgb, (1.0 / depth).astype(np.float32), valid)]
-    ev_rgb, ev_depth, ev_valid = scene(args.seed + 77, 24, size)
-    eval_pairs = [(ev_rgb, DepthSequence(list(ev_depth), list(ev_valid),
-                                         kind="gt"))]
+    eval_pairs = [scene(args.seed + 77, 24, size)]
 
     def factory():
         return DepthModel(ModelConfig(height=16, width=16, patch_size=4,

@@ -2,7 +2,9 @@
 
 Everything here is pure numpy over immutable inputs. Alignment operates in
 the model's inverse-depth space; metrics convert to depth via clamped
-inversion before comparing against ground truth.
+inversion before comparing against ground truth. The evaluation entry
+points take one sequence as three [N, H, W] arrays: predicted inverse
+depth, ground-truth depth and validity.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AffineAlign", "DepthSequence", "EvalReport", "DriftCurve",
+    "AffineAlign", "EvalReport", "DriftCurve",
     "DegenerateAlignment", "least_squares_align", "apply_align",
     "absrel", "delta1", "invert_disparity", "eval_first_frame",
     "eval_global", "scale_drift_curve",
@@ -35,30 +37,14 @@ class AffineAlign:
     degenerate: bool = False
 
 
-@dataclass
-class DepthSequence:
-    """Per-frame maps with validity masks; kind is 'gt' or 'pred'."""
-
-    frames: list
-    valid: list
-    kind: str = "pred"
-
-    def __post_init__(self):
-        if len(self.frames) != len(self.valid):
-            raise ValueError("frames and masks differ in length")
-
-    def __len__(self):
-        return len(self.frames)
-
-
-def _joint(pred, gt, mask):
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    g = np.asarray(gt, dtype=np.float64).reshape(-1)
+def _masked(a, b, mask):
+    """Both maps flattened to float64, kept where mask is true."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
     if mask is None:
-        m = np.ones_like(p, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool).reshape(-1)
-    return p[m], g[m]
+        return a, b
+    m = np.asarray(mask, dtype=bool).reshape(-1)
+    return a[m], b[m]
 
 
 def least_squares_align(pred, gt, mask=None) -> AffineAlign:
@@ -66,7 +52,7 @@ def least_squares_align(pred, gt, mask=None) -> AffineAlign:
 
     Falls back to a pure shift (s=1) when the prediction has no variance.
     """
-    p, g = _joint(pred, gt, mask)
+    p, g = _masked(pred, gt, mask)
     n = p.size
     if n < 2:
         raise DegenerateAlignment(f"need >= 2 valid pixels, got {n}")
@@ -93,7 +79,7 @@ def invert_disparity(d, eps: float = 1e-6):
 
 def absrel(gt, aligned_pred, mask=None) -> float:
     """Mean |D - D'| / D over valid pixels."""
-    g, p = _masked_pair(gt, aligned_pred, mask)
+    g, p = _metric_pixels(gt, aligned_pred, mask)
     return float(np.mean(np.abs(g - p) / g))
 
 
@@ -102,19 +88,15 @@ def delta1(gt, aligned_pred, mask=None) -> float:
 
     Non-positive aligned predictions count as outliers.
     """
-    g, p = _masked_pair(gt, aligned_pred, mask)
+    g, p = _metric_pixels(gt, aligned_pred, mask)
     ok = p > 0
     ratio = np.ones_like(g) * np.inf
     ratio[ok] = np.maximum(g[ok] / p[ok], p[ok] / g[ok])
     return float(np.mean(ratio < DELTA1_THRESHOLD))
 
 
-def _masked_pair(gt, pred, mask):
-    g = np.asarray(gt, dtype=np.float64).reshape(-1)
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool).reshape(-1)
-        g, p = g[m], p[m]
+def _metric_pixels(gt, pred, mask):
+    g, p = _masked(gt, pred, mask)
     if g.size == 0:
         raise DegenerateAlignment("no valid pixels")
     if np.any(g <= 0):
@@ -128,61 +110,51 @@ class EvalReport:
     delta1: float
 
 
-def _clip_gt(gt_frames):
-    return [np.clip(np.asarray(f, dtype=np.float64), None, DEPTH_CLIP)
-            for f in gt_frames]
+def _sequence(pred, depth, valid):
+    """Check one sequence: pred inverse depth, gt depth and validity must
+    share one [N, H, W] shape with N >= 1, and pred must be finite.
+    Returns float64 pred, gt depth clipped to the evaluation range, and
+    the boolean validity."""
+    pred = np.asarray(pred, dtype=np.float64)
+    depth = np.asarray(depth, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    if (pred.ndim != 3 or len(pred) < 1 or depth.shape != pred.shape
+            or valid.shape != pred.shape):
+        raise ValueError(f"pred, depth and valid must share one [N, H, W] "
+                         f"shape with N >= 1, got {pred.shape}, "
+                         f"{depth.shape} and {valid.shape}")
+    if not np.isfinite(pred).all():
+        raise ValueError("prediction has non-finite values")
+    return pred, np.minimum(depth, DEPTH_CLIP), valid
 
 
-def _gt_inverse(gt_frame):
+def _gt_inverse(depth):
     # invalid (non-positive) pixels are masked out downstream; avoid the
     # divide warning by writing zeros there
-    return np.divide(1.0, gt_frame, out=np.zeros_like(gt_frame),
-                     where=gt_frame > 0)
+    return np.divide(1.0, depth, out=np.zeros_like(depth), where=depth > 0)
 
 
-def _pooled_metrics(pred_inv_frames, gt_frames, valid, align) -> EvalReport:
-    gts, preds, masks = [], [], []
-    for p, g, m in zip(pred_inv_frames, gt_frames, valid):
-        depth = invert_disparity(apply_align(p, align))
-        gts.append(np.asarray(g, dtype=np.float64).reshape(-1))
-        preds.append(depth.reshape(-1))
-        masks.append(np.asarray(m, dtype=bool).reshape(-1))
-    g = np.concatenate(gts)
-    p = np.concatenate(preds)
-    m = np.concatenate(masks)
-    return EvalReport(absrel(g, p, m), delta1(g, p, m))
+def _report(pred, depth, valid, align) -> EvalReport:
+    aligned = invert_disparity(apply_align(pred, align))
+    return EvalReport(absrel(depth, aligned, valid),
+                      delta1(depth, aligned, valid))
 
 
-def eval_first_frame(pred: DepthSequence, gt: DepthSequence) -> EvalReport:
+def eval_first_frame(pred, depth, valid) -> EvalReport:
     """Fit (s, t) on frame 0 in inverse-depth space, apply to the whole
     video, pool metrics over all valid pixels of all frames."""
-    if len(pred) != len(gt) or len(pred) < 1:
-        raise ValueError("sequences must have equal nonzero length")
-    gt_frames = _clip_gt(gt.frames)
-    align = least_squares_align(pred.frames[0], _gt_inverse(gt_frames[0]),
-                                np.asarray(gt.valid[0], dtype=bool)
-                                & np.asarray(pred.valid[0], dtype=bool))
-    valid = [np.asarray(a, dtype=bool) & np.asarray(b, dtype=bool)
-             for a, b in zip(pred.valid, gt.valid)]
-    return _pooled_metrics(pred.frames, gt_frames, valid, align)
+    pred, depth, valid = _sequence(pred, depth, valid)
+    align = least_squares_align(pred[0], _gt_inverse(depth[0]), valid[0])
+    return _report(pred, depth, valid, align)
 
 
-def eval_global(pred: DepthSequence, gt: DepthSequence,
-                horizon: int | None = None) -> EvalReport:
+def eval_global(pred, depth, valid, horizon: int | None = None) -> EvalReport:
     """One joint (s, t) over all valid pixels within the horizon
     (None = all frames); metrics over the same horizon."""
-    if len(pred) != len(gt) or len(pred) < 1:
-        raise ValueError("sequences must have equal nonzero length")
-    n = len(pred) if horizon is None else min(horizon, len(pred))
-    gt_frames = _clip_gt(gt.frames[:n])
-    valid = [np.asarray(a, dtype=bool) & np.asarray(b, dtype=bool)
-             for a, b in zip(pred.valid[:n], gt.valid[:n])]
-    p_all = np.concatenate([np.asarray(f).reshape(-1)
-                            for f in pred.frames[:n]])
-    g_all = np.concatenate([_gt_inverse(f).reshape(-1) for f in gt_frames])
-    m_all = np.concatenate([m.reshape(-1) for m in valid])
-    align = least_squares_align(p_all, g_all, m_all)
-    return _pooled_metrics(pred.frames[:n], gt_frames, valid, align)
+    pred, depth, valid = _sequence(pred, depth, valid)
+    pred, depth, valid = pred[:horizon], depth[:horizon], valid[:horizon]
+    align = least_squares_align(pred, _gt_inverse(depth), valid)
+    return _report(pred, depth, valid, align)
 
 
 @dataclass
@@ -190,7 +162,6 @@ class DriftCurve:
     drift: np.ndarray          # smoothed per-frame-index mean scale error
     raw_drift: np.ndarray      # before smoothing
     data_support: np.ndarray   # sequences covering each index
-    window: int = 4
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -213,17 +184,15 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def scale_drift_curve(pred_seqs, gt_seqs, window: int = 4) -> DriftCurve:
-    """Mean |s_0 - s_j| / s_0 per frame index over all sequences that
-    reach that index, plus the data-support counts."""
+def scale_drift_curve(sequences, window: int = 4) -> DriftCurve:
+    """Mean |s_0 - s_j| / s_0 per frame index over all (pred, depth,
+    valid) sequences that reach that index, plus the data-support
+    counts."""
     per_seq: list[np.ndarray] = []
-    for pred, gt in zip(pred_seqs, gt_seqs):
-        gt_frames = _clip_gt(gt.frames)
-        scales = []
-        for p, g, mp, mg in zip(pred.frames, gt_frames, pred.valid, gt.valid):
-            m = np.asarray(mp, dtype=bool) & np.asarray(mg, dtype=bool)
-            scales.append(least_squares_align(p, _gt_inverse(g), m).scale)
-        s = np.asarray(scales, dtype=np.float64)
+    for seq in sequences:
+        pred, depth, valid = _sequence(*seq)
+        s = np.array([least_squares_align(p, _gt_inverse(d), m).scale
+                      for p, d, m in zip(pred, depth, valid)])
         if s[0] == 0:
             raise DegenerateAlignment("frame-0 scale is zero")
         # |s0| in the denominator keeps drift non-negative even when the
@@ -237,4 +206,4 @@ def scale_drift_curve(pred_seqs, gt_seqs, window: int = 4) -> DriftCurve:
         support[j] = len(vals)
         raw[j] = float(np.mean(vals))
     return DriftCurve(drift=_moving_average(raw, window), raw_drift=raw,
-                      data_support=support, window=window)
+                      data_support=support)

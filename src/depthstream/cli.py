@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .align import (DepthSequence, eval_first_frame, eval_global,
-                    scale_drift_curve)
+from .align import eval_first_frame, eval_global, scale_drift_curve
 from .cache import PrecisionMode
 from .data import (SceneSpec, Primitive, generate_sequence, load_sequence,
                    read_pfm, save_sequence, write_pfm)
@@ -191,16 +190,12 @@ def _load_eval_pairs(pred_dir, gt_dir, stride: int = 1):
             raise FileNotFoundError(f"missing predictions for {seq_id}: "
                                     f"{predlist}")
         names = predlist.read_text().split()
-        pred_frames = [read_pfm(Path(pred_dir) / n) for n in names]
+        pred = [read_pfm(Path(pred_dir) / n) for n in names]
         _, depth, valid = load_sequence(mpath, stride=stride)
-        if len(pred_frames) != len(depth):
-            raise ValueError(f"{seq_id}: {len(pred_frames)} predictions vs "
-                             f"{len(depth)} ground-truth frames")
-        pred = DepthSequence(pred_frames,
-                             [np.ones(p.shape, dtype=bool)
-                              for p in pred_frames], kind="pred")
-        gt = DepthSequence(list(depth), list(valid), kind="gt")
-        pairs.append((seq_id, pred, gt))
+        if [p.shape for p in pred] != [d.shape for d in depth]:
+            raise ValueError(f"{seq_id}: {len(pred)} predictions do not "
+                             f"match ground truth of shape {depth.shape}")
+        pairs.append((seq_id, (pred, depth, valid)))
     return pairs
 
 
@@ -209,13 +204,12 @@ def cmd_eval(args) -> int:
     _write_run_record(out, args)
     pairs = _load_eval_pairs(args.pred, args.gt, stride=args.stride)
     rows = []
-    for seq_id, pred, gt in pairs:
+    for seq_id, seq in pairs:
         if args.align == "first":
-            rep = eval_first_frame(pred, gt)
-        elif args.align == "global500":
-            rep = eval_global(pred, gt, horizon=500)
+            rep = eval_first_frame(*seq)
         else:
-            rep = eval_global(pred, gt, horizon=None)
+            horizon = 500 if args.align == "global500" else None
+            rep = eval_global(*seq, horizon=horizon)
         rows.append((seq_id, rep))
     with open(out / "eval.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -231,8 +225,7 @@ def cmd_drift(args) -> int:
     out = Path(args.out)
     _write_run_record(out, args)
     pairs = _load_eval_pairs(args.pred, args.gt, stride=args.stride)
-    curve = scale_drift_curve([p for _, p, _ in pairs],
-                              [g for _, _, g in pairs], window=args.smooth)
+    curve = scale_drift_curve([seq for _, seq in pairs], window=args.smooth)
     curve.write_csv(out / "drift.csv")
     print(f"drift over {len(curve.drift)} frame indices "
           f"(smoothing window {args.smooth})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .align import DegenerateAlignment, DepthSequence, eval_first_frame
+from .align import DegenerateAlignment, eval_first_frame
 from .model import DepthModel
 from .tensor import Tape, Tensor
 
@@ -303,8 +303,8 @@ def ablation_suite(model_factory, train_sequences, eval_pairs,
     """Train one model per loss configuration row (identical seeds and
     budget) and evaluate with first-frame alignment.
 
-    eval_pairs: list of (rgb_seq, gt DepthSequence). Returns rows of
-    {config, absrel, delta1}.
+    eval_pairs: list of (rgb [N, H, W, 3], gt depth [N, H, W], valid
+    [N, H, W]). Returns rows of {config, absrel, delta1}.
     """
     rows = []
     for name, weights, augment in ABLATION_ROWS:
@@ -313,13 +313,8 @@ def ablation_suite(model_factory, train_sequences, eval_pairs,
             trainer = Trainer(model, train_sequences, weights, train_cfg,
                               AugmentConfig(enabled=augment))
             trainer.run()
-        reports = []
-        for rgb_seq, gt in eval_pairs:
-            pred_frames = list(model.forward_batch(rgb_seq))
-            pred = DepthSequence(pred_frames,
-                                 [np.ones(f.shape, dtype=bool)
-                                  for f in pred_frames], kind="pred")
-            reports.append(eval_first_frame(pred, gt))
+        reports = [eval_first_frame(model.forward_batch(rgb), depth, valid)
+                   for rgb, depth, valid in eval_pairs]
         rows.append({
             "config": name,
             "absrel": float(np.mean([r.absrel for r in reports])),

@@ -151,8 +151,6 @@ class Tape:
                     continue
                 acc = grads.get(id(inp))
                 grads[id(inp)] = g if acc is None else acc + g
-            if out.requires_grad:
-                out.grad = grads[id(out)]
         for out, inputs, _ in self._nodes:
             for t in (out, *inputs):
                 if t.requires_grad and id(t) in grads:

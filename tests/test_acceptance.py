@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from depthstream import tensor as T
-from depthstream.align import (DepthSequence, delta1, absrel,
-                               eval_first_frame, eval_global,
-                               least_squares_align, scale_drift_curve)
+from depthstream.align import (delta1, absrel, eval_first_frame,
+                               eval_global, least_squares_align,
+                               scale_drift_curve)
 from depthstream.cache import PrecisionMode
 from depthstream.cli import main as cli_main
 from depthstream.data import (Primitive, SceneSpec, generate_sequence,
@@ -30,8 +30,8 @@ from depthstream.losses import (LossWeights, TrainConfig, Trainer,
                                 loss_sascon, loss_ssi_scene, loss_tgm,
                                 loss_total, temporal_gradient_error)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.tensor import Tensor, finite_checks, gradcheck
-from depthstream.verify import (alignment_oracle_check,
+from depthstream.tensor import finite_checks
+from depthstream.verify import (alignment_oracle_check, loss_gradient_check,
                                 streaming_equivalence_check)
 
 EQUIV_TOL = 1e-5
@@ -90,10 +90,7 @@ def stream_predictions(model, rgb, context, precision=PrecisionMode.FULL32):
 
 
 def first_frame_delta1(preds, depth, valid):
-    pred = DepthSequence(preds, [np.ones(p.shape, dtype=bool)
-                                 for p in preds], kind="pred")
-    gt = DepthSequence(list(depth), list(valid), kind="gt")
-    return eval_first_frame(pred, gt).delta1
+    return eval_first_frame(preds, depth, valid).delta1
 
 
 def eval_delta1(model, rgb, depth, valid, context):
@@ -175,21 +172,12 @@ class TestCriterion04LossCorrectness:
                      .item() - 1.0) < FIXTURE_TOL
 
         worst_rel = 0.0
-        for fn in (loss_ssi_scene, loss_tgm, loss_sascon):
-            for seed in range(10):
-                r = np.random.default_rng(1000 + seed)
-                g = r.uniform(0.5, 2.0, (2, 3, 4)).astype(np.float32)
-                m = np.ones_like(g, dtype=bool)
-                p0 = (g * r.uniform(0.8, 1.2)
-                      + r.normal(0, 0.2, g.shape)).astype(np.float32)
-                param = Tensor(p0, requires_grad=True)
-                rep = gradcheck(lambda: fn(param, g, m), [param],
-                                tol=GRAD_TOL)
-                worst_rel = max(worst_rel, rep["max_rel_err"])
-                if not rep["passed"]:
-                    report("04 loss-correctness", False,
-                           f"{fn.__name__} seed {seed} gradcheck "
-                           f"rel err {rep['max_rel_err']:.2e}")
+        for seed in range(10):
+            res = loss_gradient_check(seed=1000 + seed, tol=GRAD_TOL)
+            worst_rel = max(worst_rel, *res["reports"].values())
+            if not res["passed"]:
+                report("04 loss-correctness", False,
+                       f"seed {seed} gradcheck rel errs {res['reports']}")
         report("04 loss-correctness",
                affine_zero and sascon_ok and tgm_ok
                and worst_rel < GRAD_TOL,
@@ -236,23 +224,20 @@ class TestCriterion07ScaleDrift:
     def test_zero_curve_ramp_recovery_support(self, report):
         rng = np.random.default_rng(8)
         lengths = (6, 4, 3)
-        gt_seqs, flat_preds, ramp_preds = [], [], []
-        for li, length in enumerate(lengths):
+        flat_seqs, ramp_seqs = [], []
+        for length in lengths:
             depth = rng.uniform(2.0, 10.0, (length, 5, 5))
-            masks = [np.ones((5, 5), dtype=bool)] * length
+            masks = np.ones((length, 5, 5), dtype=bool)
             # identical frames within a sequence make the per-frame fits
             # bitwise identical, so the affine curve is exactly zero
             depth[:] = depth[0]
-            gt_seqs.append(DepthSequence(list(depth), masks, kind="gt"))
             inv = 1.0 / depth
-            flat_preds.append(DepthSequence(
-                [2.0 * f + 0.1 for f in inv], masks, kind="pred"))
-            ramp_preds.append(DepthSequence(
-                [inv[j] / (1.0 + 0.01 * j) for j in range(length)],
-                masks, kind="pred"))
-        flat = scale_drift_curve(flat_preds, gt_seqs, window=4)
+            flat_seqs.append((2.0 * inv + 0.1, depth, masks))
+            ramp = (1.0 + 0.01 * np.arange(length))[:, None, None]
+            ramp_seqs.append((inv / ramp, depth, masks))
+        flat = scale_drift_curve(flat_seqs, window=4)
         zero_ok = np.all(flat.drift == 0.0) and np.all(flat.raw_drift == 0.0)
-        ramp = scale_drift_curve(ramp_preds, gt_seqs, window=4)
+        ramp = scale_drift_curve(ramp_seqs, window=4)
         ramp_ok = all(
             abs(ramp.raw_drift[j] - 0.01 * j) <= DRIFT_REL_TOL * 0.01 * j
             for j in range(1, max(lengths)))
@@ -267,14 +252,13 @@ class TestCriterion08GlobalVsFirstFrame:
     def test_global_not_worse_under_drift(self, report):
         rng = np.random.default_rng(9)
         depth = rng.uniform(2.0, 10.0, (16, 6, 6))
-        masks = [np.ones((6, 6), dtype=bool)] * 16
+        masks = np.ones((16, 6, 6), dtype=bool)
         inv = 1.0 / depth
-        drifting = [inv[j] * (1.0 + 0.03 * j)
-                    + rng.normal(0, 0.002, (6, 6)) for j in range(16)]
-        pred = DepthSequence(drifting, masks, kind="pred")
-        gt = DepthSequence(list(depth), masks, kind="gt")
-        first = eval_first_frame(pred, gt).absrel
-        global_all = eval_global(pred, gt, horizon=None).absrel
+        drifting = np.stack([inv[j] * (1.0 + 0.03 * j)
+                             + rng.normal(0, 0.002, (6, 6))
+                             for j in range(16)])
+        first = eval_first_frame(drifting, depth, masks).absrel
+        global_all = eval_global(drifting, depth, masks, horizon=None).absrel
         report("08 global-vs-first", global_all <= first,
                f"global AbsRel {global_all:.4f} <= first-frame "
                f"AbsRel {first:.4f} on a drifting prediction")

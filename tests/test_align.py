@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthstream.align import (AffineAlign, DegenerateAlignment,
-                               DepthSequence, absrel, apply_align, delta1,
-                               eval_first_frame, eval_global,
-                               invert_disparity, least_squares_align,
-                               scale_drift_curve)
+from depthstream.align import (AffineAlign, DegenerateAlignment, absrel,
+                               apply_align, delta1, eval_first_frame,
+                               eval_global, invert_disparity,
+                               least_squares_align, scale_drift_curve)
 from depthstream.verify import brute_force_align
 
 
@@ -150,127 +149,211 @@ class TestInvertDisparity:
 
 
 def make_gt_sequence(rng, frames=4, shape=(6, 8), base=5.0):
-    gts = [base + rng.uniform(0, 2, shape) + 0.1 * i
-           for i in range(frames)]
-    valid = [np.ones(shape, dtype=bool) for _ in range(frames)]
-    return DepthSequence(gts, valid, kind="gt")
+    """Ground-truth depth [N, H, W] and an all-true validity mask."""
+    depth = np.stack([base + rng.uniform(0, 2, shape) + 0.1 * i
+                      for i in range(frames)])
+    return depth, np.ones(depth.shape, dtype=bool)
 
 
 class TestProtocols:
     def test_global_affine_corruption_scores_perfectly(self):
         rng = np.random.default_rng(3)
-        gt = make_gt_sequence(rng)
-        pred_frames = [3.0 * (1.0 / f) + 0.05 for f in gt.frames]
-        pred = DepthSequence(pred_frames,
-                             [np.ones_like(f, dtype=bool)
-                              for f in pred_frames])
-        rep = eval_first_frame(pred, gt)
+        depth, valid = make_gt_sequence(rng)
+        pred = 3.0 * (1.0 / depth) + 0.05
+        rep = eval_first_frame(pred, depth, valid)
         assert rep.absrel == pytest.approx(0.0, abs=1e-6)
         assert rep.delta1 == 1.0
-        rep_g = eval_global(pred, gt)
+        rep_g = eval_global(pred, depth, valid)
         assert rep_g.absrel == pytest.approx(0.0, abs=1e-6)
 
     def test_drift_shows_up_under_first_frame_alignment(self):
         rng = np.random.default_rng(4)
-        gt = make_gt_sequence(rng, frames=2)
-        inv = [1.0 / f for f in gt.frames]
-        pred_frames = [inv[0], 2.0 * inv[1]]  # frame 1 drifted in scale
-        pred = DepthSequence(pred_frames,
-                             [np.ones_like(f, dtype=bool)
-                              for f in pred_frames])
-        rep = eval_first_frame(pred, gt)
+        depth, valid = make_gt_sequence(rng, frames=2)
+        inv = 1.0 / depth
+        pred = np.stack([inv[0], 2.0 * inv[1]])  # frame 1 drifted in scale
+        rep = eval_first_frame(pred, depth, valid)
         assert rep.absrel > 0.05
         # frame 0 alone is perfect
-        solo = DepthSequence([pred_frames[0]], [pred.valid[0]])
-        gt0 = DepthSequence([gt.frames[0]], [gt.valid[0]], kind="gt")
-        assert eval_first_frame(solo, gt0).absrel == pytest.approx(0, abs=1e-6)
+        solo = eval_first_frame(pred[:1], depth[:1], valid[:1])
+        assert solo.absrel == pytest.approx(0, abs=1e-6)
 
     def test_single_frame_first_equals_global(self):
         rng = np.random.default_rng(5)
-        gt = make_gt_sequence(rng, frames=1)
-        pred = DepthSequence([1.0 / gt.frames[0] + rng.normal(0, 0.01,
-                                                              (6, 8))],
-                             [np.ones((6, 8), dtype=bool)])
-        a = eval_first_frame(pred, gt)
-        b = eval_global(pred, gt)
+        depth, valid = make_gt_sequence(rng, frames=1)
+        pred = 1.0 / depth + rng.normal(0, 0.01, (1, 6, 8))
+        a = eval_first_frame(pred, depth, valid)
+        b = eval_global(pred, depth, valid)
         assert a.absrel == pytest.approx(b.absrel)
         assert a.delta1 == pytest.approx(b.delta1)
 
     def test_global_beats_first_frame_on_drift(self):
         rng = np.random.default_rng(6)
-        gt = make_gt_sequence(rng, frames=20)
-        pred_frames = [(1.0 + 0.03 * i) * (1.0 / f)
-                       for i, f in enumerate(gt.frames)]
-        masks = [np.ones((6, 8), dtype=bool) for _ in pred_frames]
-        pred = DepthSequence(pred_frames, masks)
-        first = eval_first_frame(pred, gt)
-        glob = eval_global(pred, gt)
+        depth, valid = make_gt_sequence(rng, frames=20)
+        pred = (1.0 + 0.03 * np.arange(20))[:, None, None] * (1.0 / depth)
+        first = eval_first_frame(pred, depth, valid)
+        glob = eval_global(pred, depth, valid)
         assert glob.absrel <= first.absrel
 
     def test_horizon_beyond_length_equals_all(self):
         rng = np.random.default_rng(7)
-        gt = make_gt_sequence(rng, frames=6)
-        pred = DepthSequence([1.0 / f + rng.normal(0, 0.01, (6, 8))
-                              for f in gt.frames],
-                             [np.ones((6, 8), dtype=bool)] * 6)
-        a = eval_global(pred, gt, horizon=500)
-        b = eval_global(pred, gt, horizon=None)
+        depth, valid = make_gt_sequence(rng, frames=6)
+        pred = 1.0 / depth + rng.normal(0, 0.01, depth.shape)
+        a = eval_global(pred, depth, valid, horizon=500)
+        b = eval_global(pred, depth, valid, horizon=None)
         assert a.absrel == pytest.approx(b.absrel)
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(8)
-        gt = make_gt_sequence(rng, frames=3)
-        pred = DepthSequence([1.0 / gt.frames[0]],
-                             [np.ones((6, 8), dtype=bool)])
+        depth, valid = make_gt_sequence(rng, frames=3)
         with pytest.raises(ValueError):
-            eval_first_frame(pred, gt)
+            eval_first_frame(1.0 / depth[:1], depth, valid)
+
+
+def bad_sequence(case):
+    """A (pred, depth, valid) triple every entry point must reject."""
+    rng = np.random.default_rng(14)
+    depth, valid = make_gt_sequence(rng, frames=3)
+    pred = 1.0 / depth
+    nan_pixel, inf_pixel, nan_frame0 = pred.copy(), pred.copy(), pred.copy()
+    nan_pixel[1, 2, 3] = np.nan
+    inf_pixel[2, 0, 0] = np.inf
+    nan_frame0[0] = np.nan
+    return {
+        "nan-pixel": (nan_pixel, depth, valid),
+        "inf-pixel": (inf_pixel, depth, valid),
+        "nan-frame0": (nan_frame0, depth, valid),
+        "fewer-frames": (pred[:2], depth, valid),
+        "wrong-size": (pred[:, :5], depth, valid),
+        "one-frame-2d": (pred[0], depth[0], valid[0]),
+        "no-frames": (pred[:0], depth[:0], valid[:0]),
+        "valid-mis-sized": (pred, depth, valid[:, :, :7]),
+        "depth-mis-sized": (pred, depth[:2], valid),
+    }[case]
+
+
+class TestSequenceInput:
+    @pytest.mark.parametrize("protocol", ["first", "global", "global3",
+                                          "drift"])
+    @pytest.mark.parametrize("case", [
+        "nan-pixel", "inf-pixel", "nan-frame0", "fewer-frames",
+        "wrong-size", "one-frame-2d", "no-frames", "valid-mis-sized",
+        "depth-mis-sized"])
+    def test_bad_sequence_rejected(self, protocol, case):
+        seq = bad_sequence(case)
+        run = {
+            "first": lambda: eval_first_frame(*seq),
+            "global": lambda: eval_global(*seq),
+            "global3": lambda: eval_global(*seq, horizon=3),
+            "drift": lambda: scale_drift_curve([seq]),
+        }[protocol]
+        with pytest.raises(ValueError, match="non-finite|shape"):
+            run()
+
+
+def pinned_sequences():
+    """Three sequences of 5, 3 and 7 frames with partial validity, depth
+    past the 80 clip and a 5%/frame scale ramp."""
+    rng = np.random.default_rng(2026)
+    seqs = []
+    for n in (5, 3, 7):
+        depth = rng.uniform(1.0, 100.0, (n, 4, 5)).astype(np.float32)
+        valid = rng.random((n, 4, 5)) > 0.25
+        ramp = (1.0 + 0.05 * np.arange(n))[:, None, None]
+        pred = (ramp / np.minimum(depth, 80.0)
+                + rng.normal(0, 0.002, (n, 4, 5))).astype(np.float32)
+        seqs.append((pred, depth, valid))
+    return seqs
+
+
+class TestPinnedOutputs:
+    """Exact outputs of the evaluation protocols on a seeded fixture, so a
+    change of summation order or masking cannot pass silently."""
+
+    REPORTS = {
+        (0, "first"): (0.10009113959735805, 0.8533333333333334),
+        (0, "global3"): (0.0560179753513901, 0.9555555555555556),
+        (0, "global500"): (0.07569179635668857, 0.9733333333333334),
+        (0, "globalall"): (0.07569179635668857, 0.9733333333333334),
+        (1, "first"): (0.07679482008463334, 0.9047619047619048),
+        (1, "global3"): (0.06887135124723354, 0.9285714285714286),
+        (1, "global500"): (0.06887135124723354, 0.9285714285714286),
+        (1, "globalall"): (0.06887135124723354, 0.9285714285714286),
+        (2, "first"): (0.136228562887348, 0.7478260869565218),
+        (2, "global3"): (0.07078729566136749, 0.98),
+        (2, "global500"): (0.086230885192266, 0.9304347826086956),
+        (2, "globalall"): (0.086230885192266, 0.9304347826086956),
+    }
+    RAW_DRIFT = [0.0, 0.03909467982540162, 0.08041315973402978,
+                 0.1037945782246005, 0.13997839449881483,
+                 0.17649516947435442, 0.19825802381577745]
+    DRIFT_WINDOW_4 = [0.01954733991270081, 0.03983594651981046,
+                      0.055825604446007975, 0.09082020307071167,
+                      0.12517032548294987, 0.15463154150338682,
+                      0.1715771959296489]
+
+    @pytest.mark.parametrize("key", sorted(REPORTS))
+    def test_eval_report(self, key):
+        i, protocol = key
+        pred, depth, valid = pinned_sequences()[i]
+        if protocol == "first":
+            rep = eval_first_frame(pred, depth, valid)
+        else:
+            horizon = {"global3": 3, "global500": 500}.get(protocol)
+            rep = eval_global(pred, depth, valid, horizon=horizon)
+        assert (rep.absrel, rep.delta1) == self.REPORTS[key]
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_drift_curve(self, window):
+        curve = scale_drift_curve(pinned_sequences(), window=window)
+        expected = self.RAW_DRIFT if window == 1 else self.DRIFT_WINDOW_4
+        assert curve.raw_drift.tolist() == self.RAW_DRIFT
+        assert curve.drift.tolist() == expected
+        assert curve.data_support.tolist() == [3, 3, 3, 2, 2, 1, 1]
 
 
 class TestDriftCurve:
-    def setup_pair(self, rng, scale_fn, frames=10):
-        gt = make_gt_sequence(rng, frames=frames)
-        pred_frames = [scale_fn(i) * (1.0 / f)
-                       for i, f in enumerate(gt.frames)]
-        pred = DepthSequence(pred_frames,
-                             [np.ones((6, 8), dtype=bool)] * frames)
-        return pred, gt
+    def setup_seq(self, rng, scale_fn, frames=10):
+        depth, valid = make_gt_sequence(rng, frames=frames)
+        pred = np.stack([scale_fn(i) * (1.0 / f)
+                         for i, f in enumerate(depth)])
+        return pred, depth, valid
 
     def test_global_affine_gives_zero_curve(self):
         rng = np.random.default_rng(9)
-        pred, gt = self.setup_pair(rng, lambda i: 2.0)
-        curve = scale_drift_curve([pred], [gt])
+        seq = self.setup_seq(rng, lambda i: 2.0)
+        curve = scale_drift_curve([seq])
         np.testing.assert_allclose(curve.raw_drift, 0.0, atol=1e-9)
         np.testing.assert_allclose(curve.drift, 0.0, atol=1e-9)
 
     def test_linear_ramp_recovered(self):
         rng = np.random.default_rng(10)
         # prediction scale decays so the fitted scale grows 1% per frame
-        pred, gt = self.setup_pair(rng, lambda i: 1.0 / (1.0 + 0.01 * i),
-                                   frames=12)
-        curve = scale_drift_curve([pred], [gt])
+        seq = self.setup_seq(rng, lambda i: 1.0 / (1.0 + 0.01 * i),
+                             frames=12)
+        curve = scale_drift_curve([seq])
         expected = 0.01 * np.arange(12)
         np.testing.assert_allclose(curve.raw_drift, expected, rtol=1e-5,
                                    atol=1e-8)
 
     def test_data_support_counting(self):
         rng = np.random.default_rng(11)
-        p1, g1 = self.setup_pair(rng, lambda i: 1.0, frames=5)
-        p2, g2 = self.setup_pair(rng, lambda i: 1.0, frames=9)
-        curve = scale_drift_curve([p1, p2], [g1, g2])
+        s1 = self.setup_seq(rng, lambda i: 1.0, frames=5)
+        s2 = self.setup_seq(rng, lambda i: 1.0, frames=9)
+        curve = scale_drift_curve([s1, s2])
         np.testing.assert_array_equal(curve.data_support,
                                       [2] * 5 + [1] * 4)
         assert (np.diff(curve.data_support) <= 0).all()
 
     def test_smoothing_window_one_is_identity(self):
         rng = np.random.default_rng(12)
-        pred, gt = self.setup_pair(rng, lambda i: 1.0 + 0.05 * (i % 3))
-        curve = scale_drift_curve([pred], [gt], window=1)
+        seq = self.setup_seq(rng, lambda i: 1.0 + 0.05 * (i % 3))
+        curve = scale_drift_curve([seq], window=1)
         np.testing.assert_array_equal(curve.drift, curve.raw_drift)
 
     def test_csv_columns(self, tmp_path):
         rng = np.random.default_rng(13)
-        pred, gt = self.setup_pair(rng, lambda i: 1.0)
-        curve = scale_drift_curve([pred], [gt])
+        seq = self.setup_seq(rng, lambda i: 1.0)
+        curve = scale_drift_curve([seq])
         path = tmp_path / "drift.csv"
         curve.write_csv(path)
         header = path.read_text().splitlines()[0]

@@ -1,11 +1,12 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from depthstream import cli
-from depthstream.data import read_pfm
+from depthstream.data import read_pfm, write_pfm
 from depthstream.model import load_checkpoint
 
 
@@ -222,6 +223,28 @@ class TestEvalAndDrift:
         assert len(rows) == 1 + 12
         assert float(rows[1][1]) >= 0.0
         assert int(rows[1][2]) > 0
+
+    @pytest.mark.parametrize("command", [
+        ("eval", "--align", "first"), ("eval", "--align", "globalall"),
+        ("drift",)], ids=["eval-first", "eval-globalall", "drift"])
+    @pytest.mark.parametrize("bad", ["nan-pixel", "mis-sized"])
+    def test_bad_prediction_is_usage_error(self, pipeline, preds, tmp_path,
+                                           capsys, command, bad):
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(preds, bad_dir)
+        name = (bad_dir / "seq000.predlist").read_text().split()[3]
+        frame = read_pfm(bad_dir / name)
+        if bad == "nan-pixel":
+            frame[5, 7] = np.nan
+        else:
+            frame = frame[:, :-1]
+        write_pfm(bad_dir / name, frame)
+        out = tmp_path / "out"
+        assert run(command[0], "--pred", str(bad_dir), "--gt",
+                   str(pipeline["data"]), "--out", str(out),
+                   *command[1:]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / f"{command[0]}.csv").exists()
 
 
 class TestBench:

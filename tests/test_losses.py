@@ -488,9 +488,7 @@ class TestAblationSuite:
         gt_inv = (1.0 / depth).astype(np.float32)
         masks = np.ones((4, 8, 8), dtype=bool)
         train_seqs = [(rgb, gt_inv, masks)]
-        from depthstream.align import DepthSequence
-        gt_seq = DepthSequence(list(depth), [m for m in masks], kind="gt")
-        eval_pairs = [(rgb, gt_seq)]
+        eval_pairs = [(rgb, depth, masks)]
         cfg = TrainConfig(learning_rate=1e-3, steps=3, seed=3)
         rows1 = ablation_suite(tiny_model, train_seqs, eval_pairs, cfg,
                                csv_path=tmp_path / "ab.csv")
