@@ -99,8 +99,9 @@ def _metric_pixels(gt, pred, mask):
     g, p = _masked(gt, pred, mask)
     if g.size == 0:
         raise DegenerateAlignment("no valid pixels")
-    if np.any(g <= 0):
-        raise ValueError("ground-truth depth must be positive on valid pixels")
+    if not np.all(np.isfinite(g) & (g > 0)):
+        raise ValueError("ground-truth depth must be finite and positive "
+                         "on valid pixels")
     return g, p
 
 
@@ -112,9 +113,10 @@ class EvalReport:
 
 def _sequence(pred, depth, valid):
     """Check one sequence: pred inverse depth, gt depth and validity must
-    share one [N, H, W] shape with N >= 1, and pred must be finite.
-    Returns float64 pred, gt depth clipped to the evaluation range, and
-    the boolean validity."""
+    share one [N, H, W] shape with N >= 1, pred must be finite and depth
+    positive (not NaN; +inf clips to the range) on valid pixels. Returns
+    float64 pred, gt depth clipped to the evaluation range, and the
+    boolean validity."""
     pred = np.asarray(pred, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -125,6 +127,9 @@ def _sequence(pred, depth, valid):
                          f"{depth.shape} and {valid.shape}")
     if not np.isfinite(pred).all():
         raise ValueError("prediction has non-finite values")
+    if not (depth[valid] > 0).all():
+        raise ValueError("ground-truth depth has NaN or non-positive values "
+                         "on valid pixels")
     return pred, np.minimum(depth, DEPTH_CLIP), valid
 
 

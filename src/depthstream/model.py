@@ -9,7 +9,9 @@ windows); the two are equivalent.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .cache import CacheBank, PrecisionMode
-from .motion import MotionModuleParams, motion_module_forward_batch, \
+from .motion import MotionModuleParams, fold, motion_module_forward_batch, \
     motion_module_forward_stream
 from .tensor import Tensor
 
@@ -59,19 +61,17 @@ class ModelConfig:
 
 
 class EncoderStub:
-    """Frozen seeded patchify-and-project encoder.
+    """Frozen patchify-and-project encoder (a seeded model draws its
+    weights, see _seeded_arrays).
 
     Features are strictly per-frame: no temporal state, identical input
     frame gives identical features.
     """
 
-    def __init__(self, cfg: ModelConfig):
-        rng = np.random.default_rng(cfg.seed)
-        p = cfg.patch_size
-        fan_in = 3 * p * p
-        self.weight = rng.normal(0, 1.0 / np.sqrt(fan_in),
-                                 (fan_in, cfg.encoder_channels)).astype(np.float32)
-        self.bias = rng.normal(0, 0.1, cfg.encoder_channels).astype(np.float32)
+    def __init__(self, cfg: ModelConfig, weight: np.ndarray,
+                 bias: np.ndarray):
+        self.weight = np.asarray(weight, dtype=np.float32)
+        self.bias = np.asarray(bias, dtype=np.float32)
         self.cfg = cfg
 
     def encode_frame(self, rgb: np.ndarray) -> np.ndarray:
@@ -106,31 +106,58 @@ class _FrameBlock:
         return T.add(x, T.linear(h, self.w2, self.b2))
 
 
+def _seeded_arrays(cfg: ModelConfig) -> list[np.ndarray]:
+    """A seeded model's stored arrays in checkpoint order: the head's
+    draws from one generator, then the encoder's from another."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    c = cfg.head_channels
+
+    def lin(rows, cols, scale=1.0):
+        return rng.normal(0, scale / np.sqrt(rows), (rows, cols))
+
+    out = [lin(cfg.encoder_channels, c), np.zeros(c)]
+    for _ in range(cfg.num_motion_modules):
+        out += [lin(c, c), np.zeros(c), lin(c, c, 0.5), np.zeros(c)]
+        out += MotionModuleParams.seeded_arrays(c, cfg.context, rng)
+    out += [lin(c, 1, 0.5), np.zeros(1)]
+    enc = np.random.default_rng(cfg.seed)
+    fan_in = 3 * cfg.patch_size ** 2
+    return out + [enc.normal(0, 1.0 / np.sqrt(fan_in),
+                             (fan_in, cfg.encoder_channels)),
+                  enc.normal(0, 0.1, cfg.encoder_channels)]
+
+
+def _stored_shapes(cfg: ModelConfig) -> list[tuple]:
+    """The shape of every stored array, in checkpoint order."""
+    c, e = cfg.head_channels, cfg.encoder_channels
+    block = [(c, c), (c,)] * 2
+    motion = [(c, c), (c,)] * 4 + [(c,), (c,), (cfg.context, c)]
+    return ([(e, c), (c,)] + (block + motion) * cfg.num_motion_modules
+            + [(c, 1), (1,), (3 * cfg.patch_size ** 2, e), (e,)])
+
+
 class DepthModel:
     """Frozen encoder + trainable spatiotemporal head."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, arrays=None):
+        """A seeded model or, given every stored array in checkpoint order,
+        one built from them without drawing."""
         self.cfg = cfg
-        self.encoder = EncoderStub(cfg)
-        rng = np.random.default_rng(cfg.seed + 1)
-        c = cfg.head_channels
+        stored = iter(_seeded_arrays(cfg) if arrays is None else arrays)
 
-        def lin(rows, cols, scale=1.0):
-            return Tensor(rng.normal(0, scale / np.sqrt(rows), (rows, cols)),
-                          requires_grad=True)
+        def param():
+            return Tensor(next(stored), requires_grad=True)
 
-        self.w_in = lin(cfg.encoder_channels, c)
-        self.b_in = T.zeros((c,), requires_grad=True)
+        self.w_in, self.b_in = param(), param()
         self.blocks: list[_FrameBlock] = []
         self.motions: list[MotionModuleParams] = []
         for _ in range(cfg.num_motion_modules):
-            self.blocks.append(_FrameBlock(
-                w1=lin(c, c), b1=T.zeros((c,), requires_grad=True),
-                w2=lin(c, c, 0.5), b2=T.zeros((c,), requires_grad=True)))
-            self.motions.append(
-                MotionModuleParams.init(c, cfg.context, rng))
-        self.w_out = lin(c, 1, 0.5)
-        self.b_out = T.zeros((1,), requires_grad=True)
+            self.blocks.append(_FrameBlock(*(param() for _ in range(4))))
+            # stored in field order, as seeded_arrays gives them
+            self.motions.append(MotionModuleParams(
+                *(param() for _ in range(11)), context=cfg.context))
+        self.w_out, self.b_out = param(), param()
+        self.encoder = EncoderStub(cfg, next(stored), next(stored))
 
     # --- parameter plumbing -------------------------------------------
     def head_parameters(self) -> list[tuple[str, Tensor]]:
@@ -160,7 +187,7 @@ class DepthModel:
         h = T.linear(feats, self.w_in, self.b_in)
         for blk, mm in zip(self.blocks, self.motions):
             h = blk.forward(h)
-            h = motion_module_forward_batch(h, c, mm)
+            h = motion_module_forward_batch(h, c, fold(mm))
         return self._readout(h, n)
 
     def forward_batch(self, rgb_seq: np.ndarray,
@@ -181,19 +208,25 @@ class SessionMisuse(RuntimeError):
 
 
 class StreamingSession:
-    """One streaming run: per-motion-module cache banks plus a frame counter."""
+    """One streaming run: per-motion-module cache banks plus a frame counter.
+
+    The session snapshots the model's weights when it is built and folds
+    the attention weights once; training the model afterwards does not
+    change this session's outputs.
+    """
 
     def __init__(self, model: DepthModel, context: int | None = None,
                  cache_modulus: int | None = None,
                  precision: PrecisionMode | None = None):
         cfg = model.cfg
-        self.model = model
         self.context = cfg.context if context is None else context
         if self.context > cfg.context:
             raise ValueError("session context cannot exceed the model's "
                              "position table")
         self.modulus = cfg.cache_modulus if cache_modulus is None else cache_modulus
         self.precision = cfg.precision_mode if precision is None else precision
+        self.model = DepthModel(cfg, [a.copy() for a in _stored_arrays(model)])
+        self.folded = [fold(mm) for mm in self.model.motions]
         self.banks = [CacheBank(self.context, self.modulus, self.precision)
                       for _ in range(cfg.num_motion_modules)]
         self.t = 0
@@ -216,10 +249,10 @@ class StreamingSession:
         # one frame, token-major [S, 1, C]: the attention kernel's layout
         h = T.linear(T.constant(feats[:, None]), self.model.w_in,
                      self.model.b_in)
-        for blk, mm, bank in zip(self.model.blocks, self.model.motions,
-                                 self.banks):
+        for blk, folded, bank in zip(self.model.blocks, self.folded,
+                                     self.banks):
             h = blk.forward(h)
-            h = motion_module_forward_stream(h, self.t, bank, mm)
+            h = motion_module_forward_stream(h, self.t, bank, folded)
         out = self.model._readout(h, 1)
         self.t += 1
         return out.data[0]
@@ -271,12 +304,15 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
         cfg = json.loads(f.read(blob_len).decode("utf-8"))
         extra = cfg.pop("extra", {})
         cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
-        model = DepthModel(ModelConfig(**cfg))
-        for arr in _stored_arrays(model):
-            raw = f.read(4 * arr.size)
-            if len(raw) != 4 * arr.size:
-                raise ValueError("truncated checkpoint")
-            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
+        cfg = ModelConfig(**cfg)
+        shapes = _stored_shapes(cfg)
+        sizes = [math.prod(shape) for shape in shapes]
+        raw = f.read(4 * sum(sizes))
+        if len(raw) != 4 * sum(sizes):
+            raise ValueError("truncated checkpoint")
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint")
-    return model, extra
+    flat = np.frombuffer(bytearray(raw), dtype="<f4")
+    arrays = [flat[end - size:end].reshape(shape) for shape, size, end in
+              zip(shapes, sizes, itertools.accumulate(sizes))]
+    return DepthModel(cfg, arrays), extra

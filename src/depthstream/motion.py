@@ -7,7 +7,9 @@ holds more than c. Both run one banded attention kernel, so for m = 1
 their outputs agree frame for frame. Latents enter the cache after layer norm
 but before positional encoding; ages are window-relative (age 0 = current
 frame) and fold into the scores and context, as the encoding is added
-before the key and value projections.
+before the key and value projections. The kernel reads a module's
+weights through fold, which takes their fixed products once: per batch
+pass, or once per streaming session.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .tensor import Tensor
 
 __all__ = [
     "MotionModuleParams",
+    "FoldedWeights",
+    "fold",
     "attend_streaming",
     "attend_batch_masked",
     "motion_module_forward_batch",
@@ -32,6 +36,11 @@ __all__ = [
 
 def sinusoidal_table(rows: int, channels: int) -> np.ndarray:
     """Standard sinusoidal position table, rows indexed by age."""
+    return _sinusoids(rows, channels).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _sinusoids(rows: int, channels: int) -> np.ndarray:
     pos = np.arange(rows, dtype=np.float64)[:, None]
     i = np.arange(channels, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2 * (i // 2) / channels)
@@ -59,23 +68,22 @@ class MotionModuleParams:
     @classmethod
     def init(cls, channels: int, context: int, rng: np.random.Generator,
              trainable: bool = True):
+        return cls(*(Tensor(a, requires_grad=trainable) for a in
+                     cls.seeded_arrays(channels, context, rng)),
+                   context=context)
+
+    @staticmethod
+    def seeded_arrays(channels: int, context: int,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+        """Initial values in field order: wq, bq, wk, ..., pe_table."""
         c = channels
 
         def proj(scale):
-            return Tensor(rng.normal(0, scale / np.sqrt(c), (c, c)),
-                          requires_grad=trainable)
+            return rng.normal(0, scale / np.sqrt(c), (c, c))
 
-        return cls(
-            wq=proj(1.0), bq=T.zeros((c,), requires_grad=trainable),
-            wk=proj(1.0), bk=T.zeros((c,), requires_grad=trainable),
-            wv=proj(1.0), bv=T.zeros((c,), requires_grad=trainable),
-            wo=proj(0.5), bo=T.zeros((c,), requires_grad=trainable),
-            ln_gain=Tensor(np.ones(c), requires_grad=trainable),
-            ln_bias=T.zeros((c,), requires_grad=trainable),
-            pe_table=Tensor(sinusoidal_table(context, c),
-                            requires_grad=trainable),
-            context=context,
-        )
+        return [proj(1.0), np.zeros(c), proj(1.0), np.zeros(c),
+                proj(1.0), np.zeros(c), proj(0.5), np.zeros(c),
+                np.ones(c), np.zeros(c), sinusoidal_table(context, c)]
 
     def named_tensors(self):
         return [("wq", self.wq), ("bq", self.bq), ("wk", self.wk),
@@ -85,18 +93,52 @@ class MotionModuleParams:
                 ("pe_table", self.pe_table)]
 
 
+@dataclass
+class FoldedWeights:
+    """A module's weights with the kernel's fixed products taken ahead of
+    time (see fold), plus the tensors the kernel reads as they are."""
+
+    qk: Tensor       # [C, C+c]: [Wqk | Wqk pe^T], Wqk = Wq Wk^T / sqrt(C)
+    qk_bias: Tensor  # [C+c]: bq times the same map
+    vo: Tensor       # [C, C]: Wv Wo
+    vo_bias: Tensor  # [C]: bv Wo + bo
+    pe_table: Tensor
+    ln_gain: Tensor
+    ln_bias: Tensor
+    context: int
+
+
+def fold(params: MotionModuleParams) -> FoldedWeights:
+    """Fold a module's projections: with them the kernel's query and every
+    position score come from one linear map, and the value and output
+    projections are one. These are ordinary ops, so under a tape gradients
+    reach Wq, Wk, Wv, Wo and pe_table through them."""
+    channels = params.wq.shape[0]
+    # [I; pe] Wk holds Wk and pe Wk, so its transpose is [Wk^T | Wk^T pe^T]
+    keys_pe = T.concat([T.constant(np.eye(channels)), params.pe_table])
+    k_map = T.transpose(T.mul(T.matmul(keys_pe, params.wk),
+                              1.0 / np.sqrt(channels)), (1, 0))
+    return FoldedWeights(
+        qk=T.matmul(params.wq, k_map), qk_bias=T.matmul(params.bq, k_map),
+        vo=T.matmul(params.wv, params.wo),
+        vo_bias=T.linear(params.bv, params.wo, params.bo),
+        pe_table=params.pe_table, ln_gain=params.ln_gain,
+        ln_bias=params.ln_bias, context=params.context)
+
+
 @functools.lru_cache(maxsize=64)
-def _band_tables(nq: int, nk: int, band: int):
+def _band_tables(nq: int, nk: int, band: int, channels: int):
     """The kernel's tables for nq queries at key positions nk-nq..nk-1:
     the ages in use, the index gathering each (query, key) position score
-    from [S, nq, ages], the additive band mask (None if all are visible)
-    and the index gathering each (query, age) weight from [S, nq, nk]."""
+    from the [S, nq, C+c] output of the folded query map, the additive band
+    mask (None if all are visible) and the index gathering each
+    (query, age) weight from [S, nq, nk]."""
     ages = min(band, nk)
     rows = np.arange(nq)[:, None]
     pos = np.arange(nk - nq, nk)[:, None]
     age = pos - np.arange(nk)
     visible = (age >= 0) & (age < band)
-    score_idx = (slice(None), rows, np.where(visible, age, 0))
+    score_idx = (slice(None), rows, channels + np.where(visible, age, 0))
     mask = None if visible.all() else np.where(visible, 0.0, -1e30)
     key = pos - np.arange(ages)
     # an age older than the first key reads the next key, which lies in
@@ -106,7 +148,7 @@ def _band_tables(nq: int, nk: int, band: int):
 
 
 def _attend(query: Tensor, keys: Tensor, band: int,
-            params: MotionModuleParams) -> Tensor:
+            weights: FoldedWeights) -> Tensor:
     """The attention kernel of both modes: query [S, Nq, C] holds the
     latents at positions Nk-Nq..Nk-1 of keys [S, Nk, C] (post layer-norm,
     no PE); key j is visible at position p iff its age p - j is < band.
@@ -114,27 +156,27 @@ def _attend(query: Tensor, keys: Tensor, band: int,
     With k_j = (x_j + pe[age_j]) Wk + bk, a score is (q Wk^T).x_j +
     (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
     the context is (sum_j a_j x_j + sum_j a_j pe[age_j]) Wv + bv, so no
-    latent is projected to K or V. Returns [S, Nq, C] before the residual.
+    latent is projected to K or V. The folded weights give q Wk^T and its
+    product with every pe row in one map, and Wv Wo in one. Returns
+    [S, Nq, C] before the residual.
     """
     _, nq, channels = query.shape
-    ages, score_idx, mask, ctx_idx = _band_tables(nq, keys.shape[1], band)
-    pe = params.pe_table if ages == params.pe_table.shape[0] else \
-        params.pe_table[:ages]
-    q = T.linear(query, params.wq, params.bq)
-    qk = T.mul(T.matmul(q, T.transpose(params.wk, (1, 0))),
-               1.0 / np.sqrt(channels))                     # [S, Nq, C]
-    pos = T.matmul(qk, T.transpose(pe, (1, 0)))[score_idx]  # [S, Nq, Nk]
-    scores = T.add(T.bmm(qk, T.transpose(keys, (0, 2, 1))), pos)
+    ages, score_idx, mask, ctx_idx = _band_tables(nq, keys.shape[1], band,
+                                                  channels)
+    qm = T.linear(query, weights.qk, weights.qk_bias)  # [S, Nq, C+c]
+    scores = T.add(T.bmm(qm[..., :channels], T.transpose(keys, (0, 2, 1))),
+                   qm[score_idx])                      # [S, Nq, Nk]
     if mask is not None:
         scores = T.add(scores, mask)
     attn = T.softmax_rows(scores)
+    pe = weights.pe_table if ages == weights.pe_table.shape[0] else \
+        weights.pe_table[:ages]
     # attention weight per age [S, Nq, ages] times pe, plus attn . x
     ctx = T.linear(attn[ctx_idx], pe, T.bmm(attn, keys))
-    return T.linear(T.linear(ctx, params.wv, params.bv), params.wo,
-                    params.bo)
+    return T.linear(ctx, weights.vo, weights.vo_bias)
 
 
-def attend_streaming(current: Tensor, window, params: MotionModuleParams):
+def attend_streaming(current: Tensor, window, weights: FoldedWeights):
     """Cached cross-attention for one frame, token-major [S, 1, C], against
     the [w, S, C] window of stored latents, oldest to newest, whose newest
     entry is the frame itself (cache updated before attending). Returns
@@ -144,40 +186,40 @@ def attend_streaming(current: Tensor, window, params: MotionModuleParams):
     w = len(window)
     if w < 1:
         raise ValueError("empty attention window")
-    if w > params.context:
-        raise ValueError(f"window {w} exceeds context {params.context}")
+    if w > weights.context:
+        raise ValueError(f"window {w} exceeds context {weights.context}")
     return _attend(current, T.constant(window.transpose(1, 0, 2)),
-                   params.context, params)
+                   weights.context, weights)
 
 
 def attend_batch_masked(seq: Tensor, band: int,
-                        params: MotionModuleParams) -> Tensor:
+                        weights: FoldedWeights) -> Tensor:
     """Banded masked attention over an [N, S, C] sequence: the stream's
     kernel with every frame as a query, key k visible to query q iff
     0 <= q - k < band."""
     tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
-    band = min(band, params.context)
-    return T.transpose(_attend(tokens, tokens, band, params), (1, 0, 2))
+    band = min(band, weights.context)
+    return T.transpose(_attend(tokens, tokens, band, weights), (1, 0, 2))
 
 
 def motion_module_forward_batch(x: Tensor, band: int,
-                                params: MotionModuleParams) -> Tensor:
+                                weights: FoldedWeights) -> Tensor:
     """Pre-norm temporal attention with residual, batch mode. [N, S, C]."""
-    h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    return T.add(x, attend_batch_masked(h, band, params))
+    h = T.layer_norm(x, weights.ln_gain, weights.ln_bias)
+    return T.add(x, attend_batch_masked(h, band, weights))
 
 
 def motion_module_forward_stream(x: Tensor, frame_index: int,
                                  bank: CacheBank,
-                                 params: MotionModuleParams) -> Tensor:
+                                 weights: FoldedWeights) -> Tensor:
     """Streaming counterpart for one frame, token-major [S, 1, C].
 
     Pushes the current pre-PE latent into the bank before attending, then
     cross-attends against the bank's window.
     """
-    h = T.layer_norm(x, params.ln_gain, params.ln_bias)
+    h = T.layer_norm(x, weights.ln_gain, weights.ln_bias)
     bank.push_evict(frame_index, h.data[:, 0])
     # the newest window entry is the stored copy of h; use h itself as the
     # query so gradients (when taped) flow through the current frame
-    y = attend_streaming(h, bank.window(), params)
+    y = attend_streaming(h, bank.window(), weights)
     return T.add(x, y)

@@ -3,7 +3,8 @@
 Tensors wrap row-major numpy arrays in the working precision (float32 by
 default). Operations are module functions (T.add, T.linear, ...); a Tensor
 overloads no operator except indexing. Each op records its backward rule
-onto the active Tape; with no tape active it is a plain numpy computation.
+onto the active Tape; with no tape active it is a plain numpy computation
+whose result requires no gradient.
 Gradient checking runs the same code under float64 to keep finite
 differences out of the float32 noise floor.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "NonFiniteError",
     "ShapeError",
     "constant",
-    "zeros",
     "matmul",
     "bmm",
     "softmax_rows",
@@ -104,10 +104,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
 class Tape:
     """Ordered record of primitive ops; replay backward to get gradients.
 
@@ -160,9 +156,11 @@ class Tape:
 def _finish(out_data, inputs: Sequence[Tensor], back: Callable) -> Tensor:
     if _check_finite and not np.isfinite(out_data).all():
         raise NonFiniteError("operation produced non-finite values")
-    needs = any(isinstance(t, Tensor) and t.requires_grad for t in inputs)
+    if _active_tape is None:
+        return Tensor(out_data)
+    needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
-    if _active_tape is not None and needs:
+    if needs:
         _active_tape.record(out, inputs, back)
     return out
 
@@ -267,9 +265,9 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of a [..., k] with a 2-D b [k, n]."""
+    """Matrix product of a [..., k] (a [k] vector too) with a 2-D b [k, n]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
+    if a.data.ndim < 1 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
 
@@ -317,10 +315,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the same sums as x.var, bit for bit, without centring x twice
+    var = np.square(xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = gain.data * xhat + bias.data
 
     def back(g):
@@ -363,10 +362,9 @@ def reshape(x, shape) -> Tensor:
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     out = x.data.transpose(axes)
-    inv = np.argsort(axes)
 
     def back(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _finish(out, (x,), back)
 

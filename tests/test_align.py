@@ -126,6 +126,13 @@ class TestMetrics:
         with pytest.raises(DegenerateAlignment):
             absrel([1.0], [1.0], mask=[False])
 
+    @pytest.mark.parametrize("metric", [absrel, delta1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_bad_gt_on_valid_pixel_rejected(self, metric, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            metric([bad, 2.0], [1.0, 2.0])
+        assert metric([bad, 2.0], [1.0, 2.0], mask=[False, True]) in (0, 1)
+
     @given(st.integers(0, 500))
     @settings(max_examples=50, deadline=None)
     def test_delta1_bounds_and_absrel_sign(self, seed):
@@ -231,6 +238,15 @@ def bad_sequence(case):
     }[case]
 
 
+def run_protocol(protocol, seq):
+    return {
+        "first": lambda: eval_first_frame(*seq),
+        "global": lambda: eval_global(*seq),
+        "global3": lambda: eval_global(*seq, horizon=3),
+        "drift": lambda: scale_drift_curve([seq]),
+    }[protocol]()
+
+
 class TestSequenceInput:
     @pytest.mark.parametrize("protocol", ["first", "global", "global3",
                                           "drift"])
@@ -239,15 +255,21 @@ class TestSequenceInput:
         "wrong-size", "one-frame-2d", "no-frames", "valid-mis-sized",
         "depth-mis-sized"])
     def test_bad_sequence_rejected(self, protocol, case):
-        seq = bad_sequence(case)
-        run = {
-            "first": lambda: eval_first_frame(*seq),
-            "global": lambda: eval_global(*seq),
-            "global3": lambda: eval_global(*seq, horizon=3),
-            "drift": lambda: scale_drift_curve([seq]),
-        }[protocol]
         with pytest.raises(ValueError, match="non-finite|shape"):
-            run()
+            run_protocol(protocol, bad_sequence(case))
+
+    @pytest.mark.parametrize("protocol", ["first", "global", "global3",
+                                          "drift"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_bad_gt_on_valid_pixel_rejected(self, protocol, bad):
+        depth, valid = make_gt_sequence(np.random.default_rng(15), frames=3)
+        pred = 1.0 / depth
+        depth[1, 2, 3] = bad
+        valid[1, 2, 3] = True
+        with pytest.raises(ValueError, match="ground-truth depth"):
+            run_protocol(protocol, (pred, depth, valid))
+        valid[1, 2, 3] = False  # an invalid pixel may hold anything
+        run_protocol(protocol, (pred, depth, valid))
 
 
 def pinned_sequences():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depthstream import cli
-from depthstream.data import read_pfm, write_pfm
+from depthstream.data import read_manifest, read_pfm, write_pfm
 from depthstream.model import load_checkpoint
 
 
@@ -244,6 +244,25 @@ class TestEvalAndDrift:
                    str(pipeline["data"]), "--out", str(out),
                    *command[1:]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (out / f"{command[0]}.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("eval", "--align", "first"), ("eval", "--align", "globalall"),
+        ("drift",)], ids=["eval-first", "eval-globalall", "drift"])
+    def test_nan_ground_truth_is_usage_error(self, pipeline, preds, tmp_path,
+                                             capsys, command):
+        gt = tmp_path / "gt"
+        shutil.copytree(pipeline["data"], gt)
+        manifest = sorted(gt.glob("*.manifest"))[0]
+        _, depth_name, valid_name = read_manifest(manifest).entries[3]
+        depth = read_pfm(gt / depth_name)
+        row, col = np.argwhere(read_pfm(gt / valid_name) > 0.5)[0]
+        depth[row, col] = np.nan
+        write_pfm(gt / depth_name, depth)
+        out = tmp_path / "out"
+        assert run(command[0], "--pred", str(preds), "--gt", str(gt),
+                   "--out", str(out), *command[1:]) == 1
+        assert "ground-truth depth" in capsys.readouterr().err
         assert not (out / f"{command[0]}.csv").exists()
 
 

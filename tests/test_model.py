@@ -273,6 +273,42 @@ class TestConfigValidation:
             nodes.append(len(tape))
         assert nodes[0] == nodes[1] > 0
 
+    def test_session_keeps_the_weights_it_was_built_with(self, model, cfg):
+        seq = rand_rgb(6, cfg, seed=17)
+        old = model.new_session()
+        before = np.stack([old.step_rgb(f) for f in seq])
+        for _, p in model.head_parameters():
+            p.data = (p.data * 1.1 + 0.01).astype(p.data.dtype)
+        model.motions[0].wq.data *= 1.5  # in place, too
+        old.reset()
+        np.testing.assert_array_equal(
+            np.stack([old.step_rgb(f) for f in seq]), before)
+        new = model.new_session()
+        after = np.stack([new.step_rgb(f) for f in seq])
+        assert np.max(np.abs(after - model.forward_batch(seq))) < 1e-5
+        assert np.max(np.abs(after - before)) > 1e-3
+
+    def test_no_tape_records_nothing(self, model, cfg, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("an op recorded with no tape active")
+
+        monkeypatch.setattr(Tape, "record", refuse)
+        seq = rand_rgb(3, cfg, seed=18)
+        out = model.head_forward_batch(model.encoder.encode_sequence(seq))
+        model.new_session().step_rgb(seq[0])
+        assert not out.requires_grad
+
+    def test_taped_batch_reaches_every_parameter(self, model, cfg):
+        feats = model.encoder.encode_sequence(rand_rgb(6, cfg, seed=19))
+        with Tape() as tape:
+            out = model.head_forward_batch(feats)
+            tape.backward(T.mean_(T.mul(out, out)))
+        for name, p in model.head_parameters():
+            if name.endswith(".bk"):  # cancels in the softmax: no gradient
+                assert p.grad is None, name
+            else:
+                assert p.grad is not None and np.any(p.grad != 0), name
+
     def test_smaller_session_context_allowed(self, model, cfg):
         seq = rand_rgb(6, cfg, seed=14)
         session = model.new_session(context=2)

@@ -4,7 +4,8 @@ import pytest
 from depthstream import tensor as T
 from depthstream.cache import CacheBank
 from depthstream.motion import (MotionModuleParams, attend_batch_masked,
-                                attend_streaming, motion_module_forward_batch,
+                                attend_streaming, fold,
+                                motion_module_forward_batch,
                                 motion_module_forward_stream)
 from depthstream.tensor import Tensor, gradcheck
 
@@ -53,20 +54,20 @@ class TestAttendStreaming:
     def test_empty_window_rejected(self):
         params = make_params()
         with pytest.raises(ValueError):
-            attend_streaming(Tensor(rand_latents(4, 1, 8)), [], params)
+            attend_streaming(Tensor(rand_latents(4, 1, 8)), [], fold(params))
 
     def test_oversized_window_rejected(self):
         params = make_params(context=2)
         x = rand_latents(3, 4, 8)
         with pytest.raises(ValueError):
-            attend_streaming(frame(x[0]), list(x), params)
+            attend_streaming(frame(x[0]), list(x), fold(params))
 
     def test_uniform_weights_symmetry(self):
         # identical latents + zero PE: output independent of window length
         params = make_params()
         params.pe_table = Tensor(np.zeros_like(params.pe_table.data))
         x = rand_latents(1, 4, 8, seed=5)[0]
-        outs = [attend_streaming(frame(x), [x] * w, params).data
+        outs = [attend_streaming(frame(x), [x] * w, fold(params)).data
                 for w in (1, 2, 4)]
         for o in outs[1:]:
             np.testing.assert_allclose(o, outs[0], atol=1e-6)
@@ -75,7 +76,7 @@ class TestAttendStreaming:
         params = make_params(channels=8, context=4, seed=7)
         seq = rand_latents(3, 4, 8, seed=8)
         dense = dense_attention_oracle(seq, params)
-        got = attend_streaming(frame(seq[2]), list(seq), params).data
+        got = attend_streaming(frame(seq[2]), list(seq), fold(params)).data
         np.testing.assert_allclose(got[:, 0], dense[2], atol=1e-6)
 
 
@@ -83,7 +84,7 @@ class TestAttendBatchMasked:
     def test_every_frame_matches_dense_oracle(self):
         params = make_params(channels=8, context=4, seed=21)
         seq = rand_latents(7, 4, 8, seed=22)
-        got = attend_batch_masked(Tensor(seq), 3, params).data
+        got = attend_batch_masked(Tensor(seq), 3, fold(params)).data
         np.testing.assert_allclose(got, dense_attention_oracle(seq, params,
                                                                band=3),
                                    atol=1e-5)
@@ -91,28 +92,29 @@ class TestAttendBatchMasked:
     def test_single_frame_equals_streaming(self):
         params = make_params()
         seq = rand_latents(1, 4, 8, seed=9)
-        batch = attend_batch_masked(Tensor(seq), 4, params)
-        stream = attend_streaming(frame(seq[0]), [seq[0]], params)
+        batch = attend_batch_masked(Tensor(seq), 4, fold(params))
+        stream = attend_streaming(frame(seq[0]), [seq[0]], fold(params))
         np.testing.assert_allclose(batch.data[0], stream.data[:, 0],
                                    atol=1e-7)
 
     def test_wide_band_is_plain_causal(self):
         params = make_params(context=8)
         seq = rand_latents(5, 4, 8, seed=10)
-        wide = attend_batch_masked(Tensor(seq), 10 ** 6, params).data
-        exact = attend_batch_masked(Tensor(seq), 8, params).data
+        wide = attend_batch_masked(Tensor(seq), 10 ** 6, fold(params)).data
+        exact = attend_batch_masked(Tensor(seq), 8, fold(params)).data
         np.testing.assert_allclose(wide, exact, atol=1e-7)
 
     def test_per_frame_equals_streaming_pipeline(self):
         params = make_params(channels=8, context=4, seed=11)
         seq = rand_latents(6, 4, 8, seed=12)
-        batch = attend_batch_masked(Tensor(seq), 4, params).data
+        batch = attend_batch_masked(Tensor(seq), 4, fold(params)).data
         window: list[np.ndarray] = []
         for q in range(6):
             window.append(seq[q])
             if len(window) > 4:
                 window.pop(0)
-            got = attend_streaming(frame(seq[q]), list(window), params).data
+            got = attend_streaming(frame(seq[q]), list(window),
+                                   fold(params)).data
             np.testing.assert_allclose(got[:, 0], batch[q], atol=1e-5)
 
     def test_attention_rows_sum_to_one(self):
@@ -121,7 +123,7 @@ class TestAttendBatchMasked:
         params.pe_table = Tensor(np.zeros_like(params.pe_table.data))
         x = rand_latents(1, 4, 8, seed=13)[0]
         v_expected = (x + 0) @ params.wv.data + params.bv.data
-        got = attend_streaming(frame(x), [x, x, x], params).data
+        got = attend_streaming(frame(x), [x, x, x], fold(params)).data
         np.testing.assert_allclose(
             got[:, 0], v_expected @ params.wo.data + params.bo.data,
             atol=1e-5)
@@ -133,26 +135,28 @@ class TestMotionModule:
         params.wo = Tensor(np.zeros_like(params.wo.data))
         params.bo = Tensor(np.zeros_like(params.bo.data))
         x = Tensor(rand_latents(5, 4, 8, seed=14))
-        out = motion_module_forward_batch(x, 4, params)
+        out = motion_module_forward_batch(x, 4, fold(params))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_batch_vs_stream_equivalence(self):
         params = make_params(channels=8, context=4, seed=15)
         seq = rand_latents(8, 4, 8, seed=16)
-        batch = motion_module_forward_batch(Tensor(seq), 4, params).data
+        batch = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
         bank = CacheBank(4, 1)
+        folded = fold(params)
         for t in range(8):
             got = motion_module_forward_stream(frame(seq[t]), t, bank,
-                                               params).data
+                                               folded).data
             np.testing.assert_allclose(got[:, 0], batch[t], atol=1e-5)
 
     def test_causality(self):
         params = make_params(channels=8, context=4, seed=17)
         seq = rand_latents(6, 4, 8, seed=18)
-        base = motion_module_forward_batch(Tensor(seq), 4, params).data
+        base = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
         perturbed = seq.copy()
         perturbed[4:] += 3.0
-        out = motion_module_forward_batch(Tensor(perturbed), 4, params).data
+        out = motion_module_forward_batch(Tensor(perturbed), 4,
+                                          fold(params)).data
         np.testing.assert_allclose(out[:4], base[:4], atol=1e-6)
 
     @staticmethod
@@ -162,7 +166,7 @@ class TestMotionModule:
         tensors = [t for _, t in params.named_tensors()]
 
         def f():
-            out = motion_module_forward_batch(Tensor(seq), band, params)
+            out = motion_module_forward_batch(Tensor(seq), band, fold(params))
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)
@@ -175,16 +179,45 @@ class TestMotionModule:
         # N = 5 > band = 2: masked pairs and the age tables are in play
         self._gradcheck_batch(5, 2, seed=23)
 
+    def test_gradcheck_stream_mode(self):
+        # a taped streaming step through the fold and the kernel's
+        # one-query path; the window is a constant copy of the latents
+        params = make_params(channels=4, context=3, seed=29, trainable=True)
+        seq = rand_latents(3, 2, 4, seed=30)
+        current = Tensor(seq[2][:, None], requires_grad=True)
+        tensors = [t for _, t in params.named_tensors()] + [current]
+
+        def f():
+            out = attend_streaming(current, list(seq), fold(params))
+            return T.mean_(T.mul(out, out))
+
+        rep = gradcheck(f, tensors)
+        assert rep["passed"], rep
+
+    def test_gradcheck_stream_mode_short_window(self):
+        # a window shorter than the context reads a slice of the pe table
+        params = make_params(channels=4, context=3, seed=31, trainable=True)
+        seq = rand_latents(2, 2, 4, seed=32)
+        tensors = [t for _, t in params.named_tensors()]
+
+        def f():
+            out = attend_streaming(frame(seq[1]), list(seq), fold(params))
+            return T.mean_(T.mul(out, out))
+
+        rep = gradcheck(f, tensors)
+        assert rep["passed"], rep
+
     def test_key_bias_drops_out(self):
         # q.bk is the same for every key, so the softmax cancels it
         params = make_params(channels=8, context=4, seed=25)
         seq = rand_latents(6, 4, 8, seed=26)
 
         def outputs():
-            batch = motion_module_forward_batch(Tensor(seq), 4, params).data
+            batch = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
             bank = CacheBank(4, 1)
+            folded = fold(params)
             stream = [motion_module_forward_stream(frame(seq[t]), t, bank,
-                                                   params).data[:, 0]
+                                                   folded).data[:, 0]
                       for t in range(6)]
             return batch, np.stack(stream)
 

@@ -88,6 +88,20 @@ class TestLayerNorm:
             T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]),
                          eps=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 1, 16), (64, 16, 16), (3, 7, 5),
+                                       (16, 1, 64)])
+    def test_bit_identical_to_numpy_var(self, dtype, shape):
+        x = np.random.default_rng(4).normal(2.0, 3.0, shape).astype(dtype)
+        with T.working_dtype(dtype):
+            out = T.layer_norm(Tensor(x), Tensor(np.ones(shape[-1])),
+                               Tensor(np.zeros(shape[-1]))).data
+        mu = x.mean(axis=-1, keepdims=True)
+        eps = np.asarray(1e-5, dtype=dtype)
+        ref = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps))
+        assert out.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
+
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
@@ -165,6 +179,15 @@ class TestBackward:
         np.add.at(expected, idx, g)
         assert x.grad.dtype == expected.dtype
         np.testing.assert_array_equal(x.grad, expected)
+
+
+class TestTapeRecording:
+    def test_tape_records_only_what_needs_grad(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            T.add(Tensor(np.ones(3)), Tensor(np.ones(3)))
+            out = T.mul(x, 2.0)
+        assert len(tape) == 1 and out.requires_grad
 
 
 class TestNonFiniteDetection:
