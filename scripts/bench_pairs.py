@@ -2,11 +2,11 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
 Exports the parent commit's files with `git archive` into a work
-directory, then runs benchmark/run.py for N pairs per workload, one run
-on each side per pair: the parent first on odd seeds, the change first on
-even seeds, so a slow stretch of a shared host hits both sides alike. The
-change is this checkout's working tree. Optionally one traced run per
-side and workload (seed 1) comes first.
+directory, then runs benchmark/run.py for N pairs on every workload
+BENCHMARK.json lists, one run on each side per pair: the parent first on
+odd seeds, the change first on even seeds, so a slow stretch of a shared
+host hits both sides alike. The change is this checkout's working tree.
+Optionally one traced run per side and workload (seed 1) comes first.
 
 Writes BENCH_<label>.json at the repo root: for every workload and
 end-to-end metric of BENCHMARK.json, the pairs, the change's wins and the
@@ -139,14 +139,13 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=11)
     ap.add_argument("--traced-seconds", type=float, default=0,
                     help="one traced seed-1 run per side first (0: none)")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["stream_small", "train_clips"])
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the parent is exported (default: a "
                          "temporary directory)")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    workloads = [w["name"] for w in bench["workloads"]]
 
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
                   f"correct={result['correct']}", flush=True)
             return result
 
-        for workload in args.workloads:
+        for workload in workloads:
             if args.traced_seconds:
                 traced[f"traced_{workload}_seed1"] = {
                     side: {n: round(m["value"], 4) for n, m in
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
                      f"{seeds.start}-{seeds.stop - 1}, {args.seconds:g} s "
                      f"runs, parent first on odd seeds and change first on "
                      f"even seeds; workloads in the order "
-                     f"{', '.join(args.workloads)}"
+                     f"{', '.join(workloads)}"
                      + (f"; one traced {args.traced_seconds:g} s seed-1 run "
                         f"per side before each workload's pairs"
                         if args.traced_seconds else "")),

@@ -13,14 +13,14 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .cache import CacheBank, PrecisionMode
-from .motion import MotionModuleParams, fold, motion_module_forward_batch, \
-    motion_module_forward_stream
+from .motion import MotionModuleParams, fold, initial_arrays, \
+    motion_module_forward_batch, motion_module_forward_stream
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "EncoderStub", "DepthModel", "StreamingSession",
@@ -62,7 +62,7 @@ class ModelConfig:
 
 class EncoderStub:
     """Frozen patchify-and-project encoder (a seeded model draws its
-    weights, see _seeded_arrays).
+    weights, see _layout).
 
     Features are strictly per-frame: no temporal state, identical input
     frame gives identical features.
@@ -106,34 +106,24 @@ class _FrameBlock:
         return T.add(x, T.linear(h, self.w2, self.b2))
 
 
-def _seeded_arrays(cfg: ModelConfig) -> list[np.ndarray]:
-    """A seeded model's stored arrays in checkpoint order: the head's
-    draws from one generator, then the encoder's from another."""
-    rng = np.random.default_rng(cfg.seed + 1)
-    c = cfg.head_channels
+def _layout(cfg: ModelConfig) -> tuple[list[tuple], list[tuple]]:
+    """Every stored array's (shape, fill, std) in checkpoint order (see
+    initial_arrays): the head's slots, then the encoder's. A seeded model
+    draws each part from its own generator."""
+    c, e = cfg.head_channels, cfg.encoder_channels
 
     def lin(rows, cols, scale=1.0):
-        return rng.normal(0, scale / np.sqrt(rows), (rows, cols))
+        return ((rows, cols), "normal", scale / math.sqrt(rows))
 
-    out = [lin(cfg.encoder_channels, c), np.zeros(c)]
-    for _ in range(cfg.num_motion_modules):
-        out += [lin(c, c), np.zeros(c), lin(c, c, 0.5), np.zeros(c)]
-        out += MotionModuleParams.seeded_arrays(c, cfg.context, rng)
-    out += [lin(c, 1, 0.5), np.zeros(1)]
-    enc = np.random.default_rng(cfg.seed)
+    def bias(n):
+        return ((n,), "zeros", 0.0)
+
+    module = [lin(c, c), bias(c), lin(c, c, 0.5), bias(c)] \
+        + MotionModuleParams.layout(c, cfg.context)
     fan_in = 3 * cfg.patch_size ** 2
-    return out + [enc.normal(0, 1.0 / np.sqrt(fan_in),
-                             (fan_in, cfg.encoder_channels)),
-                  enc.normal(0, 0.1, cfg.encoder_channels)]
-
-
-def _stored_shapes(cfg: ModelConfig) -> list[tuple]:
-    """The shape of every stored array, in checkpoint order."""
-    c, e = cfg.head_channels, cfg.encoder_channels
-    block = [(c, c), (c,)] * 2
-    motion = [(c, c), (c,)] * 4 + [(c,), (c,), (cfg.context, c)]
-    return ([(e, c), (c,)] + (block + motion) * cfg.num_motion_modules
-            + [(c, 1), (1,), (3 * cfg.patch_size ** 2, e), (e,)])
+    return ([lin(e, c), bias(c)] + module * cfg.num_motion_modules
+            + [lin(c, 1, 0.5), bias(1)],
+            [lin(fan_in, e), ((e,), "normal", 0.1)])
 
 
 class DepthModel:
@@ -141,23 +131,34 @@ class DepthModel:
 
     def __init__(self, cfg: ModelConfig, arrays=None):
         """A seeded model or, given every stored array in checkpoint order,
-        one built from them without drawing."""
+        one built from them without drawing (ValueError if their count or
+        shapes differ from _layout's)."""
         self.cfg = cfg
-        stored = iter(_seeded_arrays(cfg) if arrays is None else arrays)
+        head, encoder = _layout(cfg)
+        if arrays is None:
+            arrays = (initial_arrays(head, np.random.default_rng(cfg.seed + 1))
+                      + initial_arrays(encoder,
+                                       np.random.default_rng(cfg.seed)))
+        shapes = [shape for shape, _, _ in head + encoder]
+        if [a.shape for a in arrays] != shapes:
+            raise ValueError("stored arrays do not match the model's layout")
+        stored = iter(arrays)
 
-        def param():
-            return Tensor(next(stored), requires_grad=True)
+        def params(n):
+            return [Tensor(next(stored), requires_grad=True)
+                    for _ in range(n)]
 
-        self.w_in, self.b_in = param(), param()
+        self.w_in, self.b_in = params(2)
         self.blocks: list[_FrameBlock] = []
         self.motions: list[MotionModuleParams] = []
+        n_block = len(fields(_FrameBlock))
+        n_motion = len(MotionModuleParams.layout(1, 1))
         for _ in range(cfg.num_motion_modules):
-            self.blocks.append(_FrameBlock(*(param() for _ in range(4))))
-            # stored in field order, as seeded_arrays gives them
-            self.motions.append(MotionModuleParams(
-                *(param() for _ in range(11)), context=cfg.context))
-        self.w_out, self.b_out = param(), param()
-        self.encoder = EncoderStub(cfg, next(stored), next(stored))
+            self.blocks.append(_FrameBlock(*params(n_block)))
+            self.motions.append(MotionModuleParams(*params(n_motion),
+                                                   context=cfg.context))
+        self.w_out, self.b_out = params(2)
+        self.encoder = EncoderStub(cfg, *stored)
 
     # --- parameter plumbing -------------------------------------------
     def head_parameters(self) -> list[tuple[str, Tensor]]:
@@ -305,7 +306,8 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
         extra = cfg.pop("extra", {})
         cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
         cfg = ModelConfig(**cfg)
-        shapes = _stored_shapes(cfg)
+        head, encoder = _layout(cfg)
+        shapes = [shape for shape, _, _ in head + encoder]
         sizes = [math.prod(shape) for shape in shapes]
         raw = f.read(4 * sum(sizes))
         if len(raw) != 4 * sum(sizes):

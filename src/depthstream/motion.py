@@ -15,6 +15,7 @@ pass, or once per streaming session.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 
 def sinusoidal_table(rows: int, channels: int) -> np.ndarray:
     """Standard sinusoidal position table, rows indexed by age."""
+    # a seeded DepthModel builds one table per motion module; the copy
+    # keeps each module's trainable table its own
     return _sinusoids(rows, channels).copy()
 
 
@@ -46,6 +49,23 @@ def _sinusoids(rows: int, channels: int) -> np.ndarray:
     angle = pos / np.power(10000.0, 2 * (i // 2) / channels)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     return table.astype(np.float32)
+
+
+def initial_arrays(layout, rng: np.random.Generator) -> list[np.ndarray]:
+    """Initial values for (shape, fill, std) slots: "normal" draws
+    N(0, std^2) from rng, slot by slot in order; "zeros", "ones" and
+    "sinusoids" (a sinusoidal_table) draw nothing."""
+    out = []
+    for shape, fill, std in layout:
+        if fill == "normal":
+            out.append(rng.normal(0, std, shape))
+        elif fill == "zeros":
+            out.append(np.zeros(shape))
+        elif fill == "ones":
+            out.append(np.ones(shape))
+        else:
+            out.append(sinusoidal_table(*shape))
+    return out
 
 
 @dataclass
@@ -69,21 +89,22 @@ class MotionModuleParams:
     def init(cls, channels: int, context: int, rng: np.random.Generator,
              trainable: bool = True):
         return cls(*(Tensor(a, requires_grad=trainable) for a in
-                     cls.seeded_arrays(channels, context, rng)),
+                     initial_arrays(cls.layout(channels, context), rng)),
                    context=context)
 
     @staticmethod
-    def seeded_arrays(channels: int, context: int,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-        """Initial values in field order: wq, bq, wk, ..., pe_table."""
+    def layout(channels: int, context: int) -> list[tuple]:
+        """Every field's (shape, fill, std) in field order: wq, bq, wk,
+        ..., pe_table (see initial_arrays)."""
         c = channels
+        bias = ((c,), "zeros", 0.0)
 
         def proj(scale):
-            return rng.normal(0, scale / np.sqrt(c), (c, c))
+            return ((c, c), "normal", scale / math.sqrt(c))
 
-        return [proj(1.0), np.zeros(c), proj(1.0), np.zeros(c),
-                proj(1.0), np.zeros(c), proj(0.5), np.zeros(c),
-                np.ones(c), np.zeros(c), sinusoidal_table(context, c)]
+        return [proj(1.0), bias, proj(1.0), bias, proj(1.0), bias,
+                proj(0.5), bias, ((c,), "ones", 0.0), bias,
+                ((context, c), "sinusoids", 0.0)]
 
     def named_tensors(self):
         return [("wq", self.wq), ("bq", self.bq), ("wk", self.wk),

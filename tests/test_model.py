@@ -248,6 +248,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_arrays_must_match_the_layout(self, model, cfg):
+        arrays = [t.data for _, t in model.head_parameters()] + [
+            model.encoder.weight, model.encoder.bias]
+        rebuilt = DepthModel(cfg, arrays)
+        seq = rand_rgb(2, cfg, seed=20)
+        np.testing.assert_array_equal(rebuilt.forward_batch(seq),
+                                      model.forward_batch(seq))
+        swapped = arrays[:]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        for bad in (arrays[:-1], arrays + [arrays[-1]], swapped):
+            with pytest.raises(ValueError, match="layout"):
+                DepthModel(cfg, bad)
+
 
 class TestConfigValidation:
     def test_indivisible_resolution_rejected(self):
