@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
-"""Loss-configuration ablation on synthetic scenes.
+"""Loss-configuration ablation on synthetic scenes, over several seeds.
 
 Trains one model per loss configuration (no training, two-term, two-term
 with augmentation, two-term plus consistency, full stack with
-augmentation) under identical seeds and budget, then evaluates each with
-first-frame alignment and writes a CSV.
+augmentation) under identical budget, then evaluates each with
+first-frame alignment. The training and held-out scenes are fixed by
+--seed; each of the --seeds runs draws its own initial weights, stride
+samples and augmentation rectangles (seeds --seed .. --seed + K - 1).
+Writes one CSV row per configuration: the mean and the sample standard
+deviation of AbsRel and delta1 over the runs, so a gap between two rows
+can be read against their spread.
 
-Usage: python scripts/run_ablation.py --out runs/ablation.csv
+Usage: python scripts/run_ablation.py --out runs/ablation.csv [--seeds 5]
 """
 
 import argparse
+import csv
 
 import numpy as np
 
 from depthstream.data import Primitive, SceneSpec, generate_sequence
 from depthstream.losses import TrainConfig, ablation_suite
 from depthstream.model import DepthModel, ModelConfig
+
+METRICS = ("absrel", "delta1")
 
 
 def scene(seed, frames, size):
@@ -26,30 +34,58 @@ def scene(seed, frames, size):
     return generate_sequence(spec, frames, size)
 
 
+def summarize(runs: list[list[dict]]) -> list[dict]:
+    """Per configuration, the mean and sample std of each metric over the
+    runs (each run is ablation_suite's list of rows)."""
+    out = []
+    for rows in zip(*runs):
+        summary = {"config": rows[0]["config"], "seeds": len(rows)}
+        for m in METRICS:
+            values = [r[m] for r in rows]
+            summary[f"{m}_mean"] = float(np.mean(values))
+            summary[f"{m}_std"] = (float(np.std(values, ddof=1))
+                                   if len(values) > 1 else 0.0)
+        out.append(summary)
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True, help="output CSV path")
     ap.add_argument("--steps", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seeds", type=int, default=5,
+                    help="training runs per configuration")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
 
     size = (16, 16)
     rgb, depth, valid = scene(args.seed + 5, 20, size)
     train_seqs = [(rgb, (1.0 / depth).astype(np.float32), valid)]
     eval_pairs = [scene(args.seed + 77, 24, size)]
 
-    def factory():
-        return DepthModel(ModelConfig(height=16, width=16, patch_size=4,
-                                      encoder_channels=8, head_channels=8,
-                                      num_motion_modules=2, context=16,
-                                      seed=args.seed))
+    runs = []
+    for seed in range(args.seed, args.seed + args.seeds):
+        def factory():
+            return DepthModel(ModelConfig(height=16, width=16, patch_size=4,
+                                          encoder_channels=8,
+                                          head_channels=8,
+                                          num_motion_modules=2, context=16,
+                                          seed=seed))
 
-    cfg = TrainConfig(learning_rate=5e-2, steps=args.steps, seed=args.seed)
-    rows = ablation_suite(factory, train_seqs, eval_pairs, cfg,
-                          csv_path=args.out)
+        cfg = TrainConfig(learning_rate=5e-2, steps=args.steps, seed=seed)
+        runs.append(ablation_suite(factory, train_seqs, eval_pairs, cfg))
+    rows = summarize(runs)
+    with open(args.out, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
     for row in rows:
-        print(f"{row['config']:>22}: absrel={row['absrel']:.4f} "
-              f"delta1={row['delta1']:.4f}")
+        print(f"{row['config']:>22}: "
+              f"absrel={row['absrel_mean']:.4f}±{row['absrel_std']:.4f} "
+              f"delta1={row['delta1_mean']:.4f}±{row['delta1_std']:.4f} "
+              f"({row['seeds']} seeds)")
     print(f"wrote {args.out}")
 
 

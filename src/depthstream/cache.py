@@ -14,6 +14,8 @@ import enum
 
 import numpy as np
 
+from .tensor import NonFiniteError
+
 __all__ = ["PrecisionMode", "CacheBank", "OutOfOrderFrame"]
 
 
@@ -49,16 +51,20 @@ class CacheBank:
         return len(self._entries)
 
     def push_evict(self, frame_index: int, latent: np.ndarray) -> int | None:
-        """Append a latent; evict and return the oldest index when full."""
+        """Append a latent; evict and return the oldest index when full.
+        A NaN or Inf in the bank's precision raises NonFiniteError first."""
         if self._entries and frame_index <= self._entries[-1][0]:
             raise OutOfOrderFrame(
                 f"frame {frame_index} not newer than {self._entries[-1][0]}")
+        dtype = np.float16 if self.precision is PrecisionMode.EMULATED16 \
+            else np.float32
+        stored = latent.astype(dtype)
+        if not np.isfinite(stored).all():
+            raise NonFiniteError(f"frame {frame_index}: non-finite latent")
         evicted = None
         if len(self._entries) >= self.capacity * self.modulus:
             evicted = self._entries.pop(0)[0]
-        dtype = np.float16 if self.precision is PrecisionMode.EMULATED16 \
-            else np.float32
-        self._entries.append((frame_index, latent.astype(dtype)))
+        self._entries.append((frame_index, stored))
         return evicted
 
     def window(self) -> np.ndarray:

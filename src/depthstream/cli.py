@@ -2,7 +2,9 @@
 
 Subcommands: gen, train, stream, infer-batch, eval, drift, bench, check.
 Every run writes a reproducibility record (its resolved flags) next to
-its outputs. Exit codes: 0 success, 1 usage error, 2 check failure.
+its outputs. Model and session flags left out take the model's values.
+Exit codes: 0 success, 1 usage or input error (a NonFiniteError
+included), 2 check failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .data import (SceneSpec, Primitive, generate_sequence, load_sequence,
                    read_pfm, save_sequence, write_pfm)
 from .losses import (AugmentConfig, LossWeights, TrainConfig, Trainer)
 from .model import DepthModel, ModelConfig, load_checkpoint, save_checkpoint
-from .tensor import finite_checks
+from .tensor import NonFiniteError
 
 USAGE_ERROR, CHECK_FAILURE = 1, 2
 
@@ -75,14 +77,28 @@ def _manifests(data_dir) -> list[Path]:
     return paths
 
 
-# train flags that fix the model, and the ModelConfig field each sets
+# flags that fix the model (train) or the session (stream, infer-batch,
+# bench), and the ModelConfig field each defaults to
 _MODEL_FLAGS = {"context": "context", "caches": "cache_modulus",
                 "precision": "precision", "height": "height", "width": "width"}
 
 
+def _given_model_flags(args) -> dict:
+    """The ModelConfig fields set by model flags given on the command line."""
+    return {field: getattr(args, flag) for flag, field in _MODEL_FLAGS.items()
+            if getattr(args, flag, None) is not None}
+
+
+def _resolve_model_flags(args, cfg: ModelConfig):
+    """Fill every omitted model flag the command has from the model's
+    config, so the run record holds the values the run used."""
+    for flag, field in _MODEL_FLAGS.items():
+        if hasattr(args, flag) and getattr(args, flag) is None:
+            setattr(args, flag, getattr(cfg, field))
+
+
 def cmd_train(args) -> int:
-    given = {field: getattr(args, flag) for flag, field in _MODEL_FLAGS.items()
-             if getattr(args, flag) is not None}
+    given = _given_model_flags(args)
     step_offset = 0
     if args.resume:
         model, extra = load_checkpoint(args.resume)
@@ -97,8 +113,7 @@ def cmd_train(args) -> int:
             return USAGE_ERROR
     else:
         model = DepthModel(ModelConfig(seed=args.seed, **given))
-    for flag, field in _MODEL_FLAGS.items():
-        setattr(args, flag, getattr(model.cfg, field))
+    _resolve_model_flags(args, model.cfg)
     out = Path(args.out)
     _write_run_record(out, args)
     sequences = []
@@ -124,35 +139,34 @@ def cmd_train(args) -> int:
 
 def _timed_stream(model: DepthModel, args, frames, features: bool = False):
     """Stream rgb frames, or encoder features if `features`, through a new
-    session set by --context/--caches/--precision with finite checks off;
-    return the outputs, per-frame wall ms and the final cache bytes."""
+    session set by --context/--caches/--precision; return the outputs,
+    per-frame wall ms and the final cache bytes."""
     session = model.new_session(context=args.context,
                                 cache_modulus=args.caches,
                                 precision=PrecisionMode(args.precision))
     step = session.head_forward_stream if features else session.step_rgb
     outs, ms = [], []
-    with finite_checks(False):
-        for frame in frames:
-            t0 = time.perf_counter()
-            outs.append(step(frame))
-            ms.append((time.perf_counter() - t0) * 1e3)
+    for frame in frames:
+        t0 = time.perf_counter()
+        outs.append(step(frame))
+        ms.append((time.perf_counter() - t0) * 1e3)
     return outs, ms, session.memory_footprint()
 
 
 def _infer_common(args, streaming: bool) -> int:
+    model, _ = load_checkpoint(args.model)
+    _resolve_model_flags(args, model.cfg)
     out = Path(args.out)
     _write_run_record(out, args)
-    model, _ = load_checkpoint(args.model)
     for mpath in _manifests(args.data):
         rgb, _, _ = load_sequence(mpath, stride=args.stride)
         seq_id = mpath.stem
         if streaming:
             preds, latencies, footprint = _timed_stream(model, args, rgb)
         else:
-            with finite_checks(False):
-                t0 = time.perf_counter()
-                preds = list(model.forward_batch(rgb, context=args.context))
-                total_ms = (time.perf_counter() - t0) * 1e3
+            t0 = time.perf_counter()
+            preds = list(model.forward_batch(rgb, context=args.context))
+            total_ms = (time.perf_counter() - t0) * 1e3
             latencies = [total_ms / len(preds)] * len(preds)
             footprint = 0
         listing = []
@@ -233,23 +247,23 @@ def cmd_drift(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    model = load_checkpoint(args.model)[0] if args.model else DepthModel(
+        ModelConfig(seed=args.seed, **_given_model_flags(args)))
+    cfg = model.cfg
+    _resolve_model_flags(args, cfg)
     out = Path(args.out)
     _write_run_record(out, args)
-    model = load_checkpoint(args.model)[0] if args.model else DepthModel(
-        ModelConfig(context=args.context, seed=args.seed))
-    cfg = model.cfg
     n = args.frames
     rng = np.random.default_rng(args.seed)
     rgb = rng.random((n, cfg.height, cfg.width, 3)).astype(np.float32)
     feats = model.encoder.encode_sequence(rgb)
     _, stream_ms, footprint = _timed_stream(model, args, feats, features=True)
-    with finite_checks(False):
-        # without a cache, each arriving frame forces a full-sequence
-        # recompute, so the per-frame cost of the batch strategy is the
-        # cost of one whole banded pass
-        t0 = time.perf_counter()
-        model.head_forward_batch(feats, context=args.context)
-        batch_ms_per_frame = (time.perf_counter() - t0) * 1e3
+    # without a cache, each arriving frame forces a full-sequence
+    # recompute, so the per-frame cost of the batch strategy is the cost
+    # of one whole banded pass
+    t0 = time.perf_counter()
+    model.head_forward_batch(feats, context=args.context)
+    batch_ms_per_frame = (time.perf_counter() - t0) * 1e3
     warm = args.context
     kept = stream_ms[warm:]
     median_stream = statistics.median(kept) if kept else float("nan")
@@ -278,9 +292,11 @@ def cmd_check(args) -> int:
 
 
 def _add_cache_flags(p):
-    p.add_argument("--caches", type=int, default=1,
-                   help="cache stride m: the window spans about m x c frames")
-    p.add_argument("--precision", choices=["fp32", "fp16"], default="fp32")
+    p.add_argument("--caches", type=int,
+                   help="cache stride m: the window spans about m x c "
+                        "frames (default: the model's)")
+    p.add_argument("--precision", choices=["fp32", "fp16"],
+                   help="cache precision (default: the model's)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--context", type=int)
     _add_cache_flags(p)
-    p.set_defaults(caches=None, precision=None, func=cmd_train)
+    p.set_defaults(func=cmd_train)
 
     for name, fn, help_text in (
             ("stream", cmd_stream, "streaming inference over manifests"),
@@ -329,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--stride", type=int, default=1, choices=[1, 2, 3, 4])
-        p.add_argument("--context", type=int, default=16)
+        p.add_argument("--context", type=int,
+                       help="attention window c (default: the model's)")
         p.add_argument("--model", required=True, help="model checkpoint")
         if fn is cmd_stream:
             _add_cache_flags(p)
@@ -357,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--context", type=int, default=16)
+    p.add_argument("--context", type=int)
     _add_cache_flags(p)
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", default=None,
+                   help="checkpoint; without it a seeded model is built")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="run the verification suite")
@@ -377,7 +395,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as e:
+    except (FileNotFoundError, ValueError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

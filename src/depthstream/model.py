@@ -77,17 +77,25 @@ class EncoderStub:
     def encode_frame(self, rgb: np.ndarray) -> np.ndarray:
         """rgb [H, W, 3] in [0, 1] -> token features [S, C_enc]."""
         cfg = self.cfg
-        p = cfg.patch_size
         if rgb.shape != (cfg.height, cfg.width, 3):
             raise ValueError(f"expected {(cfg.height, cfg.width, 3)}, "
                              f"got {rgb.shape}")
-        patches = rgb.astype(np.float32).reshape(
-            cfg.height // p, p, cfg.width // p, p, 3)
-        patches = patches.transpose(0, 2, 1, 3, 4).reshape(cfg.tokens, -1)
-        return patches @ self.weight + self.bias
+        return self.encode_sequence(rgb[None])[0]
 
     def encode_sequence(self, rgb_seq: np.ndarray) -> np.ndarray:
-        return np.stack([self.encode_frame(f) for f in rgb_seq])
+        """rgb [N, H, W, 3] in [0, 1] -> token features [N, S, C_enc], in
+        one stacked product whose frames match encode_frame's bit for bit."""
+        cfg = self.cfg
+        p = cfg.patch_size
+        if rgb_seq.shape[1:] != (cfg.height, cfg.width, 3):
+            raise ValueError(f"expected [N, {cfg.height}, {cfg.width}, 3], "
+                             f"got {rgb_seq.shape}")
+        n = len(rgb_seq)
+        patches = rgb_seq.astype(np.float32).reshape(
+            n, cfg.height // p, p, cfg.width // p, p, 3)
+        patches = patches.transpose(0, 1, 3, 2, 4, 5).reshape(
+            n, cfg.tokens, 3 * p * p)
+        return patches @ self.weight + self.bias
 
 
 @dataclass
@@ -172,8 +180,11 @@ class DepthModel:
 
     # --- forward passes -----------------------------------------------
     def _readout(self, h: Tensor, n_frames: int) -> Tensor:
+        """[N, H, W] inverse depth; NonFiniteError on a NaN or Inf."""
         cfg = self.cfg
         d = T.linear(h, self.w_out, self.b_out)
+        if not np.isfinite(d.data).all():
+            raise T.NonFiniteError("head output is not finite")
         grid = T.reshape(d, (n_frames, cfg.height // cfg.patch_size,
                              cfg.width // cfg.patch_size))
         return T.upsample_nearest(grid, cfg.patch_size)
@@ -237,7 +248,9 @@ class StreamingSession:
 
         A frame of the wrong shape or with a non-finite value raises
         SessionMisuse before any cache is written, so the session goes on
-        as if it had never been offered.
+        as if it had never been offered. A non-finite latent raises
+        NonFiniteError in push_evict; a non-finite output raises it once t
+        has counted the frame, so the banks and t agree.
         """
         feats = features.data if isinstance(features, Tensor) else \
             np.asarray(features)
@@ -254,9 +267,8 @@ class StreamingSession:
                                      self.banks):
             h = blk.forward(h)
             h = motion_module_forward_stream(h, self.t, bank, folded)
-        out = self.model._readout(h, 1)
         self.t += 1
-        return out.data[0]
+        return self.model._readout(h, 1).data[0]
 
     def step_rgb(self, rgb: np.ndarray) -> np.ndarray:
         return self.head_forward_stream(self.model.encoder.encode_frame(rgb))
@@ -301,11 +313,17 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
-        (blob_len,) = struct.unpack("<I", f.read(4))
+        header = f.read(4)
+        if len(header) != 4:
+            raise ValueError("truncated checkpoint header")
+        (blob_len,) = struct.unpack("<I", header)
         cfg = json.loads(f.read(blob_len).decode("utf-8"))
         extra = cfg.pop("extra", {})
         cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
-        cfg = ModelConfig(**cfg)
+        try:
+            cfg = ModelConfig(**cfg)
+        except TypeError as e:
+            raise ValueError(f"bad checkpoint config: {e}") from None
         head, encoder = _layout(cfg)
         shapes = [shape for shape, _, _ in head + encoder]
         sizes = [math.prod(shape) for shape in shapes]

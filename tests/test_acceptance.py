@@ -10,7 +10,7 @@ Pinned tolerances:
   equivalence 1e-5 | causality 1e-6 | alignment residual gap 1e-6
   loss fixtures 1e-6 | gradcheck rel err 1e-4 | drift ramp 10% relative
   fp16 delta1 shift 0.005 | fp16 inverse-depth gap 5e-4
-  training drop >= 30%
+  context effect >= 0.02 | training drop >= 30%
 """
 
 import csv
@@ -22,7 +22,7 @@ from depthstream import tensor as T
 from depthstream.align import (delta1, absrel, eval_first_frame,
                                eval_global, least_squares_align,
                                scale_drift_curve)
-from depthstream.cache import PrecisionMode
+from depthstream.cache import CacheBank, PrecisionMode
 from depthstream.cli import main as cli_main
 from depthstream.data import (Primitive, SceneSpec, generate_sequence,
                               read_pfm, read_ppm, write_pfm, write_ppm)
@@ -30,7 +30,6 @@ from depthstream.losses import (LossWeights, TrainConfig, Trainer,
                                 loss_sascon, loss_ssi_scene, loss_tgm,
                                 loss_total, temporal_gradient_error)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.tensor import finite_checks
 from depthstream.verify import (alignment_oracle_check, loss_gradient_check,
                                 streaming_equivalence_check)
 
@@ -43,6 +42,7 @@ DRIFT_REL_TOL = 0.10
 FP16_DELTA1_TOL = 0.005
 FP16_INVDEPTH_TOL = 5e-4
 TRAIN_DROP = 0.30
+CONTEXT_EFFECT_MIN = 0.02
 
 
 @pytest.fixture
@@ -84,9 +84,16 @@ def trained16():
 
 def stream_predictions(model, rgb, context, precision=PrecisionMode.FULL32):
     session = model.new_session(context=context, precision=precision)
-    with finite_checks(False):
-        preds = [session.step_rgb(f) for f in rgb]
+    preds = [session.step_rgb(f) for f in rgb]
     return preds, session.memory_footprint()
+
+
+def context_effect(model, rgb):
+    """Mean over frames >= 1 of |stream(c=16) - stream(c=1)|: how far the
+    cached past moves the output."""
+    wide, _ = stream_predictions(model, rgb, 16)
+    narrow, _ = stream_predictions(model, rgb, 1)
+    return float(np.abs(np.stack(wide[1:]) - np.stack(narrow[1:])).mean())
 
 
 def first_frame_delta1(preds, depth, valid):
@@ -272,11 +279,9 @@ class TestCriterion09ContextAblation:
         # hard assertion: at matching context, streaming equals the
         # banded batch pass
         feats = model.encoder.encode_sequence(rgb)
-        with finite_checks(False):
-            batch = model.head_forward_batch(feats, context=16).data
-            session = model.new_session(context=16)
-            stream = np.stack([session.head_forward_stream(f)
-                               for f in feats])
+        batch = model.head_forward_batch(feats, context=16).data
+        session = model.new_session(context=16)
+        stream = np.stack([session.head_forward_stream(f) for f in feats])
         equiv = float(np.abs(batch - stream).max())
         trend = d1_8 <= d1_16 + 0.01
         report("09 context-ablation", equiv < EQUIV_TOL,
@@ -284,6 +289,25 @@ class TestCriterion09ContextAblation:
                f"reported trend delta1(c=8)={d1_8:.3f} vs "
                f"delta1(c=16)={d1_16:.3f} "
                f"({'holds' if trend else 'does not hold'})")
+
+    def test_context_reaches_the_output(self, report, trained16):
+        # companion to the delta1 trend, which sits at a floor: the cached
+        # past must move the output well above rounding
+        model, rgb, _, _ = trained16
+        effect = context_effect(model, rgb)
+        report("09 context-effect", effect >= CONTEXT_EFFECT_MIN,
+               f"mean |stream(c=16) - stream(c=1)| over frames >= 1 "
+               f"{effect:.4f} >= {CONTEXT_EFFECT_MIN}")
+
+    def test_current_frame_window_fails_the_companion(self, trained16,
+                                                      monkeypatch):
+        # a cache whose window holds only the current frame ignores the
+        # past; the companion check must catch it
+        model, rgb, _, _ = trained16
+        real = CacheBank.window
+        monkeypatch.setattr(CacheBank, "window",
+                            lambda bank: real(bank)[-1:])
+        assert context_effect(model, rgb) < CONTEXT_EFFECT_MIN
 
 
 class TestCriterion10PrecisionMode:

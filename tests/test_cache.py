@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthstream.cache import CacheBank, OutOfOrderFrame, PrecisionMode
+from depthstream.tensor import NonFiniteError
 
 
 def lat(v, size=8):
@@ -42,6 +43,21 @@ class TestFeatureCache:
             c.push_evict(3, lat(3))
         with pytest.raises(OutOfOrderFrame):
             c.push_evict(1, lat(1))
+
+    @pytest.mark.parametrize("precision,value", [
+        (PrecisionMode.FULL32, np.nan), (PrecisionMode.FULL32, np.inf),
+        (PrecisionMode.EMULATED16, 7e4)])
+    def test_non_finite_rejected_before_evicting(self, precision, value):
+        # 7e4 is finite in fp32 but overflows fp16's 65504
+        c = CacheBank(2, 1, precision)
+        for i in range(2):
+            c.push_evict(i, lat(i))
+        bad = lat(2)
+        bad[3] = value
+        with pytest.raises(NonFiniteError):
+            c.push_evict(2, bad)
+        assert indices(c) == [0, 1]
+        assert c.push_evict(2, lat(2)) == 0
 
     def test_window_order_and_snapshot(self):
         c = CacheBank(3, 1)

@@ -7,7 +7,8 @@ import pytest
 
 from depthstream import cli
 from depthstream.data import read_manifest, read_pfm, write_pfm
-from depthstream.model import load_checkpoint
+from depthstream.model import (CHECKPOINT_MAGIC, load_checkpoint,
+                               save_checkpoint)
 
 
 def run(*argv):
@@ -184,6 +185,75 @@ class TestInference:
                     if "cache bytes=" in l][-1]
             sizes[prec] = int(line.split("cache bytes=")[1])
         assert sizes["fp16"] * 2 == sizes["fp32"]
+
+    @pytest.mark.parametrize("command", ["stream", "infer-batch"])
+    def test_non_finite_weight_is_an_error_not_a_nan_output(
+            self, pipeline, tmp_path, capsys, command):
+        model, extra = load_checkpoint(pipeline["ckpt"])
+        model.blocks[1].w1.data[0, 0] = np.inf
+        ckpt = tmp_path / "inf.ckpt"
+        save_checkpoint(model, ckpt, extra=extra)
+        out = tmp_path / "out"
+        assert run(command, "--data", str(pipeline["data"]), "--out",
+                   str(out), "--model", str(ckpt), "--context", "4") == 1
+        assert "error:" in capsys.readouterr().err
+        for pfm in out.glob("*.pfm"):
+            assert np.isfinite(read_pfm(pfm)).all()
+
+    @pytest.mark.parametrize("command", ["stream", "infer-batch", "bench"])
+    def test_session_flags_default_to_the_checkpoint(self, pipeline,
+                                                     tmp_path, command):
+        # the pipeline checkpoint was trained at c=4, below the default
+        # table of 16
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--model", str(pipeline["ckpt"])]
+        if command == "bench":
+            argv += ["--frames", "8"]
+        else:
+            argv += ["--data", str(pipeline["data"])]
+        assert run(*argv) == 0
+        record = json.loads((out / "run_config.json").read_text())
+        assert record["context"] == 4
+
+    def test_stream_takes_cache_settings_from_the_checkpoint(
+            self, pipeline, tmp_path, capsys):
+        train = tmp_path / "train"
+        assert run("train", "--data", str(pipeline["data"]), "--out",
+                   str(train), "--steps", "1", "--context", "4",
+                   "--caches", "2", "--precision", "fp16") == 0
+        outs = {}
+        for name, flags in (("default", ()),
+                            ("explicit", ("--caches", "2",
+                                          "--precision", "fp16"))):
+            outs[name] = tmp_path / name
+            assert run("stream", "--data", str(pipeline["data"]), "--out",
+                       str(outs[name]), "--model", str(train / "model.ckpt"),
+                       *flags) == 0
+        record = json.loads((outs["default"] / "run_config.json").read_text())
+        assert {k: record[k] for k in ("context", "caches", "precision")} == {
+            "context": 4, "caches": 2, "precision": "fp16"}
+        footprints = [l.split("cache bytes=")[1]
+                      for l in capsys.readouterr().out.splitlines()
+                      if "cache bytes=" in l]
+        assert footprints[-2] == footprints[-1]
+        names = (outs["default"] / "seq000.predlist").read_text().split()
+        for n in names:
+            np.testing.assert_array_equal(read_pfm(outs["default"] / n),
+                                          read_pfm(outs["explicit"] / n))
+
+    @pytest.mark.parametrize("fault", ["header_cut", "unknown_config_key"])
+    def test_bad_checkpoint_header_is_usage_error(self, pipeline, tmp_path,
+                                                  capsys, fault):
+        raw = pipeline["ckpt"].read_bytes()
+        if fault == "header_cut":
+            raw = CHECKPOINT_MAGIC + b"\0"
+        else:
+            raw = raw.replace(b'"context"', b'"kontext"')
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(raw)
+        assert run("stream", "--data", str(pipeline["data"]), "--out",
+                   str(tmp_path / "out"), "--model", str(ckpt)) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEvalAndDrift:

@@ -59,6 +59,25 @@ class TestEncoder:
     def test_bad_shape_rejected(self, model):
         with pytest.raises(ValueError):
             model.encoder.encode_frame(np.zeros((8, 8, 3)))
+        with pytest.raises(ValueError):
+            model.encoder.encode_sequence(np.zeros((2, 8, 8, 3)))
+        with pytest.raises(ValueError):
+            model.encoder.encode_sequence(np.zeros((16, 16, 3)))
+
+    @pytest.mark.parametrize("size,patch", [(32, 8), (16, 4), (64, 8)])
+    def test_clip_and_frame_paths_are_bit_identical(self, size, patch):
+        # the whole-clip product must equal one product per frame, bit
+        # for bit: streaming encodes frame by frame, the batch pass by clip
+        cfg = ModelConfig(height=size, width=size, patch_size=patch)
+        enc = DepthModel(cfg).encoder
+        clip = rand_rgb(64, cfg, seed=3)
+        p, g = patch, size // patch
+        per_frame = np.stack([
+            f.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4).reshape(
+                g * g, -1) @ enc.weight + enc.bias for f in clip])
+        np.testing.assert_array_equal(enc.encode_sequence(clip), per_frame)
+        np.testing.assert_array_equal(
+            np.stack([enc.encode_frame(f) for f in clip]), per_frame)
 
 
 class TestBatchForward:
@@ -161,15 +180,14 @@ class TestSession:
         want = np.stack([clean.head_forward_stream(f) for f in feats])
         session = model.new_session(cache_modulus=modulus)
         got = []
-        with T.finite_checks(False):
-            for i, f in enumerate(feats):
-                if i == 3:
-                    for b in bad:
-                        with pytest.raises(SessionMisuse):
-                            session.head_forward_stream(b)
+        for i, f in enumerate(feats):
+            if i == 3:
+                for b in bad:
                     with pytest.raises(SessionMisuse):
-                        session.step_rgb(nan_rgb)
-                got.append(session.head_forward_stream(f))
+                        session.head_forward_stream(b)
+                with pytest.raises(SessionMisuse):
+                    session.step_rgb(nan_rgb)
+            got.append(session.head_forward_stream(f))
         np.testing.assert_array_equal(np.stack(got), want)
 
     def test_determinism_across_models(self, cfg):
@@ -177,6 +195,70 @@ class TestSession:
         out1 = DepthModel(cfg).forward_batch(seq)
         out2 = DepthModel(ModelConfig(**{**cfg.__dict__})).forward_batch(seq)
         np.testing.assert_array_equal(out1, out2)
+
+
+class TestNonFiniteState:
+    """A NaN or Inf never enters a cache bank: push_evict refuses it, and
+    a non-finite output raises after the banks and t have advanced."""
+
+    @staticmethod
+    def assert_banks_finite(session):
+        for bank in session.banks:
+            assert np.isfinite(bank.window()).all()
+
+    def test_fp16_overflow_leaves_every_bank_empty(self, model, cfg):
+        # |h| > 65504 is finite in fp32 but inf once cast to fp16
+        model.motions[0].ln_gain.data = model.motions[0].ln_gain.data * 1e5
+        frame = model.encoder.encode_frame(rand_rgb(1, cfg, seed=20)[0])
+        s16 = model.new_session(precision=PrecisionMode.EMULATED16)
+        with pytest.raises(T.NonFiniteError):
+            s16.head_forward_stream(frame)
+        assert [len(b) for b in s16.banks] == [0, 0] and s16.t == 0
+        s32 = model.new_session(precision=PrecisionMode.FULL32)
+        assert np.isfinite(s32.head_forward_stream(frame)).all()
+
+    @pytest.mark.parametrize("modulus", [1, 2])
+    def test_overflowing_frame_leaves_the_session_intact(self, model, cfg,
+                                                         modulus):
+        feats = model.encoder.encode_sequence(rand_rgb(10, cfg, seed=21))
+        huge = np.full_like(feats[0], 3e38)  # finite, but w_in overflows
+        clean = model.new_session(cache_modulus=modulus)
+        want = np.stack([clean.head_forward_stream(f) for f in feats])
+        session = model.new_session(cache_modulus=modulus)
+        got = []
+        for i, f in enumerate(feats):
+            if i == 3:
+                before = [b.window() for b in session.banks]
+                with pytest.raises(T.NonFiniteError):
+                    session.head_forward_stream(huge)
+                assert session.t == 3
+                for b, w in zip(session.banks, before):
+                    np.testing.assert_array_equal(b.window(), w)
+            got.append(session.head_forward_stream(f))
+        np.testing.assert_array_equal(np.stack(got), want)
+
+    @pytest.mark.parametrize("fault", ["fp16_overflow", "huge_frame",
+                                       "inf_block1_b1", "inf_w_out"])
+    def test_no_bank_holds_a_non_finite_value_after_a_raise(self, model, cfg,
+                                                            fault):
+        precision = PrecisionMode.FULL32
+        if fault == "fp16_overflow":
+            model.motions[1].ln_gain.data = \
+                model.motions[1].ln_gain.data * 1e5
+            precision = PrecisionMode.EMULATED16
+        elif fault == "inf_block1_b1":
+            model.blocks[1].b1.data[0] = np.inf
+        elif fault == "inf_w_out":
+            model.w_out.data[0, 0] = np.inf
+        feats = model.encoder.encode_sequence(rand_rgb(3, cfg, seed=22))
+        if fault == "huge_frame":
+            feats[1] = 3e38
+        session = model.new_session(precision=precision)
+        with pytest.raises(T.NonFiniteError):
+            for f in feats:
+                session.head_forward_stream(f)
+                self.assert_banks_finite(session)
+        self.assert_banks_finite(session)
 
 
 class TestCheckpoint:

@@ -191,13 +191,10 @@ class TestTapeRecording:
 
 
 class TestNonFiniteDetection:
-    def test_div_by_zero_raises(self):
-        with pytest.raises(NonFiniteError):
-            T.div(Tensor([1.0]), Tensor([0.0]))
-
-    def test_disabled_in_bench_mode(self):
-        with T.finite_checks(False):
-            out = T.div(Tensor([1.0]), Tensor([0.0]))
+    def test_ops_carry_non_finite_values(self):
+        # ops do not check; NonFiniteError comes from where a value would
+        # persist (cache banks, outputs, the loss), see test_model
+        out = T.div(Tensor([1.0]), Tensor([0.0]))
         assert np.isinf(out.data).all()
 
 
