@@ -5,13 +5,13 @@ Trains one model per loss configuration (no training, two-term, two-term
 with augmentation, two-term plus consistency, full stack with
 augmentation) under identical budget, then evaluates each with
 first-frame alignment. The training and held-out scenes are fixed by
---seed; each of the --seeds runs draws its own initial weights, stride
-samples and augmentation rectangles (seeds --seed .. --seed + K - 1).
+--seed; each of the SEEDS runs draws its own initial weights, stride
+samples and augmentation rectangles (seeds --seed .. --seed + SEEDS - 1).
 Writes one CSV row per configuration: the mean and the sample standard
 deviation of AbsRel and delta1 over the runs, so a gap between two rows
 can be read against their spread.
 
-Usage: python scripts/run_ablation.py --out runs/ablation.csv [--seeds 5]
+Usage: python scripts/run_ablation.py --out runs/ablation.csv
 """
 
 import argparse
@@ -24,6 +24,7 @@ from depthstream.losses import TrainConfig, ablation_suite
 from depthstream.model import DepthModel, ModelConfig
 
 METRICS = ("absrel", "delta1")
+SEEDS = 5  # training runs per configuration
 
 
 def scene(seed, frames, size):
@@ -43,8 +44,7 @@ def summarize(runs: list[list[dict]]) -> list[dict]:
         for m in METRICS:
             values = [r[m] for r in rows]
             summary[f"{m}_mean"] = float(np.mean(values))
-            summary[f"{m}_std"] = (float(np.std(values, ddof=1))
-                                   if len(values) > 1 else 0.0)
+            summary[f"{m}_std"] = float(np.std(values, ddof=1))
         out.append(summary)
     return out
 
@@ -54,11 +54,7 @@ def main():
     ap.add_argument("--out", required=True, help="output CSV path")
     ap.add_argument("--steps", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seeds", type=int, default=5,
-                    help="training runs per configuration")
     args = ap.parse_args()
-    if args.seeds < 1:
-        ap.error("--seeds must be >= 1")
 
     size = (16, 16)
     rgb, depth, valid = scene(args.seed + 5, 20, size)
@@ -66,7 +62,7 @@ def main():
     eval_pairs = [scene(args.seed + 77, 24, size)]
 
     runs = []
-    for seed in range(args.seed, args.seed + args.seeds):
+    for seed in range(args.seed, args.seed + SEEDS):
         def factory():
             return DepthModel(ModelConfig(height=16, width=16, patch_size=4,
                                           encoder_channels=8,

@@ -76,10 +76,6 @@ class EncoderStub:
 
     def encode_frame(self, rgb: np.ndarray) -> np.ndarray:
         """rgb [H, W, 3] in [0, 1] -> token features [S, C_enc]."""
-        cfg = self.cfg
-        if rgb.shape != (cfg.height, cfg.width, 3):
-            raise ValueError(f"expected {(cfg.height, cfg.width, 3)}, "
-                             f"got {rgb.shape}")
         return self.encode_sequence(rgb[None])[0]
 
     def encode_sequence(self, rgb_seq: np.ndarray) -> np.ndarray:
@@ -215,8 +211,8 @@ class DepthModel:
                                 precision=precision)
 
 
-class SessionMisuse(RuntimeError):
-    """Streaming session advanced inconsistently."""
+class SessionMisuse(ValueError):
+    """Streaming session offered a frame it cannot take."""
 
 
 class StreamingSession:
@@ -255,11 +251,12 @@ class StreamingSession:
         feats = features.data if isinstance(features, Tensor) else \
             np.asarray(features)
         cfg = self.model.cfg
-        if feats.shape != (cfg.tokens, cfg.encoder_channels) \
-                or not np.isfinite(feats).all():
+        if feats.shape != (cfg.tokens, cfg.encoder_channels):
             raise SessionMisuse(
-                f"stream step takes one finite {cfg.tokens}x"
+                f"stream step takes one {cfg.tokens}x"
                 f"{cfg.encoder_channels} frame, got shape {feats.shape}")
+        if not np.isfinite(feats).all():
+            raise SessionMisuse("stream step takes finite features")
         # one frame, token-major [S, 1, C]: the attention kernel's layout
         h = T.linear(T.constant(feats[:, None]), self.model.w_in,
                      self.model.b_in)

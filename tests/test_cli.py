@@ -186,16 +186,22 @@ class TestInference:
             sizes[prec] = int(line.split("cache bytes=")[1])
         assert sizes["fp16"] * 2 == sizes["fp32"]
 
-    @pytest.mark.parametrize("command", ["stream", "infer-batch"])
+    @pytest.mark.parametrize("command", ["stream", "infer-batch", "bench"])
+    @pytest.mark.parametrize("weight", ["block1.w1", "encoder.weight"])
     def test_non_finite_weight_is_an_error_not_a_nan_output(
-            self, pipeline, tmp_path, capsys, command):
+            self, pipeline, tmp_path, capsys, command, weight):
         model, extra = load_checkpoint(pipeline["ckpt"])
-        model.blocks[1].w1.data[0, 0] = np.inf
+        if weight == "block1.w1":
+            model.blocks[1].w1.data[0, 0] = np.inf
+        else:
+            model.encoder.weight[0, 0] = np.inf
         ckpt = tmp_path / "inf.ckpt"
         save_checkpoint(model, ckpt, extra=extra)
         out = tmp_path / "out"
-        assert run(command, "--data", str(pipeline["data"]), "--out",
-                   str(out), "--model", str(ckpt), "--context", "4") == 1
+        argv = [command, "--out", str(out), "--model", str(ckpt)]
+        argv += (["--frames", "8"] if command == "bench"
+                 else ["--data", str(pipeline["data"])])
+        assert run(*argv) == 1
         assert "error:" in capsys.readouterr().err
         for pfm in out.glob("*.pfm"):
             assert np.isfinite(read_pfm(pfm)).all()
