@@ -10,8 +10,10 @@ Optionally one traced run per side and workload (seed 1) comes first.
 
 Writes BENCH_<label>.json at the repo root: for every workload and
 end-to-end metric of BENCHMARK.json, the pairs, the change's wins and the
-ties, each side's quartiles, the ratio of the medians (change / parent)
-and the parent's interquartile range; then every run's result line.
+ties, each side's quartiles, the ratio of the medians (change / parent),
+the parent's interquartile range and whether the change's median is worse
+than the parent's by more than the metric's bound; then every run's
+result line.
 
     python3 scripts/bench_pairs.py --label fold --parent HEAD~1 \\
         --change "what the change does" --pairs 10 --seconds 45 \\
@@ -57,7 +59,9 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
     """Per workload and metric, compare the two sides seed by seed.
 
     runs are {"side", "workload", "seed", "trace", "result"} dicts; only
-    untraced runs count. metrics are (name, "lower" | "higher") pairs.
+    untraced runs count. metrics are (name, "lower" | "higher", bound)
+    triples; a metric is beyond_bound when the change's median is worse
+    than the parent's by more than bound times the parent's median.
     """
     summary: dict = {}
     timed = [r for r in runs if not r["trace"]]
@@ -67,7 +71,7 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
                  for side in ("parent", "change")}
         seeds = sorted(set(sides["parent"]) & set(sides["change"]))
         out = summary[workload] = {}
-        for name, better in metrics:
+        for name, better, bound in metrics:
             pairs = [(sides["parent"][s]["metrics"][name]["value"],
                       sides["change"][s]["metrics"][name]["value"])
                      for s in seeds
@@ -78,6 +82,9 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
             parent, change = np.array(pairs, dtype=np.float64).T
             wins = change < parent if better == "lower" else change > parent
             pq, cq = _quartiles(parent), _quartiles(change)
+            worse = np.median(change) - np.median(parent)
+            if better == "higher":
+                worse = -worse
             out[name] = {
                 "better": better,
                 "pairs": len(pairs),
@@ -87,6 +94,8 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
                 "change_q1_median_q3": cq,
                 "median_ratio": round(cq[1] / pq[1], 4) if pq[1] else None,
                 "parent_iqr": round(pq[2] - pq[0], 6),
+                "bound": bound,
+                "beyond_bound": bool(worse > bound * abs(np.median(parent))),
             }
         out["failed_ops"] = {side: sum(r["failed"]
                                        for r in sides[side].values())
@@ -144,7 +153,8 @@ def main(argv=None) -> int:
                          "temporary directory)")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"])
+               for m in bench["end_to_end"]]
     workloads = [w["name"] for w in bench["workloads"]]
 
     if args.workdir is not None:

@@ -9,7 +9,7 @@ pipeline end to end.
 from .align import (AffineAlign, DriftCurve, EvalReport, absrel, delta1,
                     eval_first_frame, eval_global, invert_disparity,
                     least_squares_align, scale_drift_curve)
-from .cache import CacheBank, PrecisionMode
+from .cache import CacheBank
 from .losses import (AugmentConfig, LossWeights, TrainConfig, frame_augment,
                      loss_sascon, loss_ssi_scene, loss_tgm, loss_total,
                      train_step)

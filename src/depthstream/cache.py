@@ -10,22 +10,18 @@ attention cost of c.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .tensor import NonFiniteError
 
-__all__ = ["PrecisionMode", "CacheBank", "OutOfOrderFrame"]
+__all__ = ["CacheBank", "OutOfOrderFrame"]
 
 
 class OutOfOrderFrame(ValueError):
     """Pushed frame index is not greater than the newest stored index."""
 
 
-class PrecisionMode(enum.Enum):
-    FULL32 = "fp32"
-    EMULATED16 = "fp16"
+_DTYPES = {"fp32": np.float32, "fp16": np.float16}
 
 
 class CacheBank:
@@ -39,12 +35,15 @@ class CacheBank:
     """
 
     def __init__(self, capacity: int, modulus: int = 1,
-                 precision: PrecisionMode = PrecisionMode.FULL32):
+                 precision: str = "fp32"):
         if capacity < 1 or modulus < 1:
             raise ValueError("capacity and modulus must be >= 1")
+        if precision not in _DTYPES:
+            raise ValueError(f"precision must be one of {list(_DTYPES)}, "
+                             f"got {precision!r}")
         self.capacity = capacity
         self.modulus = modulus
-        self.precision = precision
+        self.dtype = _DTYPES[precision]
         self._entries: list[tuple[int, np.ndarray]] = []
 
     def __len__(self):
@@ -56,9 +55,7 @@ class CacheBank:
         if self._entries and frame_index <= self._entries[-1][0]:
             raise OutOfOrderFrame(
                 f"frame {frame_index} not newer than {self._entries[-1][0]}")
-        dtype = np.float16 if self.precision is PrecisionMode.EMULATED16 \
-            else np.float32
-        stored = latent.astype(dtype)
+        stored = latent.astype(self.dtype)
         if not np.isfinite(stored).all():
             raise NonFiniteError(f"frame {frame_index}: non-finite latent")
         evicted = None
@@ -87,5 +84,5 @@ class CacheBank:
         self._entries.clear()
 
     def memory_footprint(self) -> int:
-        """Exact byte count of stored latents under the precision mode."""
+        """Exact byte count of stored latents in the bank's precision."""
         return sum(lat.nbytes for _, lat in self._entries)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import verify
 from .align import eval_first_frame, eval_global, scale_drift_curve
-from .cache import PrecisionMode
 from .data import (SceneSpec, Primitive, generate_sequence, load_sequence,
                    read_pfm, save_sequence, write_pfm)
 from .losses import (AugmentConfig, LossWeights, TrainConfig, Trainer)
@@ -143,7 +142,7 @@ def _timed_stream(model: DepthModel, args, frames, features: bool = False):
     per-frame wall ms and the final cache bytes."""
     session = model.new_session(context=args.context,
                                 cache_modulus=args.caches,
-                                precision=PrecisionMode(args.precision))
+                                precision=args.precision)
     step = session.head_forward_stream if features else session.step_rgb
     outs, ms = [], []
     for frame in frames:

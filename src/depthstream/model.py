@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .cache import CacheBank, PrecisionMode
+from .cache import CacheBank
 from .motion import MotionModuleParams, fold, initial_arrays, \
     motion_module_forward_batch, motion_module_forward_stream
 from .tensor import Tensor
@@ -54,10 +54,6 @@ class ModelConfig:
     @property
     def tokens(self) -> int:
         return (self.height // self.patch_size) * (self.width // self.patch_size)
-
-    @property
-    def precision_mode(self) -> PrecisionMode:
-        return PrecisionMode(self.precision)
 
 
 class EncoderStub:
@@ -100,10 +96,6 @@ class _FrameBlock:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    def named_tensors(self):
-        return [("w1", self.w1), ("b1", self.b1),
-                ("w2", self.w2), ("b2", self.b2)]
 
     def forward(self, x: Tensor) -> Tensor:
         h = T.relu(T.linear(x, self.w1, self.b1))
@@ -156,11 +148,10 @@ class DepthModel:
         self.blocks: list[_FrameBlock] = []
         self.motions: list[MotionModuleParams] = []
         n_block = len(fields(_FrameBlock))
-        n_motion = len(MotionModuleParams.layout(1, 1))
+        n_motion = len(fields(MotionModuleParams))
         for _ in range(cfg.num_motion_modules):
             self.blocks.append(_FrameBlock(*params(n_block)))
-            self.motions.append(MotionModuleParams(*params(n_motion),
-                                                   context=cfg.context))
+            self.motions.append(MotionModuleParams(*params(n_motion)))
         self.w_out, self.b_out = params(2)
         self.encoder = EncoderStub(cfg, *stored)
 
@@ -169,8 +160,9 @@ class DepthModel:
         """Trainable parameters in declared (checkpoint) order."""
         out = [("w_in", self.w_in), ("b_in", self.b_in)]
         for i, (blk, mm) in enumerate(zip(self.blocks, self.motions)):
-            out += [(f"block{i}.{n}", t) for n, t in blk.named_tensors()]
-            out += [(f"motion{i}.{n}", t) for n, t in mm.named_tensors()]
+            for prefix, part in ((f"block{i}", blk), (f"motion{i}", mm)):
+                out += [(f"{prefix}.{f.name}", getattr(part, f.name))
+                        for f in fields(part)]
         out += [("w_out", self.w_out), ("b_out", self.b_out)]
         return out
 
@@ -205,7 +197,7 @@ class DepthModel:
 
     def new_session(self, context: int | None = None,
                     cache_modulus: int | None = None,
-                    precision: PrecisionMode | None = None) -> "StreamingSession":
+                    precision: str | None = None) -> "StreamingSession":
         return StreamingSession(self, context=context,
                                 cache_modulus=cache_modulus,
                                 precision=precision)
@@ -225,28 +217,28 @@ class StreamingSession:
 
     def __init__(self, model: DepthModel, context: int | None = None,
                  cache_modulus: int | None = None,
-                 precision: PrecisionMode | None = None):
+                 precision: str | None = None):
         cfg = model.cfg
-        self.context = cfg.context if context is None else context
-        if self.context > cfg.context:
+        context = cfg.context if context is None else context
+        if context > cfg.context:
             raise ValueError("session context cannot exceed the model's "
                              "position table")
-        self.modulus = cfg.cache_modulus if cache_modulus is None else cache_modulus
-        self.precision = cfg.precision_mode if precision is None else precision
+        modulus = cfg.cache_modulus if cache_modulus is None else cache_modulus
+        precision = cfg.precision if precision is None else precision
         self.model = DepthModel(cfg, [a.copy() for a in _stored_arrays(model)])
         self.folded = [fold(mm) for mm in self.model.motions]
-        self.banks = [CacheBank(self.context, self.modulus, self.precision)
+        self.banks = [CacheBank(context, modulus, precision)
                       for _ in range(cfg.num_motion_modules)]
         self.t = 0
 
     def head_forward_stream(self, features) -> np.ndarray:
         """Features of ONE frame [S, C_enc] -> [H, W] inverse depth.
 
-        A frame of the wrong shape or with a non-finite value raises
-        SessionMisuse before any cache is written, so the session goes on
-        as if it had never been offered. A non-finite latent raises
-        NonFiniteError in push_evict; a non-finite output raises it once t
-        has counted the frame, so the banks and t agree.
+        The step is all or nothing. A frame of the wrong shape or with a
+        non-finite value raises SessionMisuse before any cache is written;
+        any later raise (NonFiniteError from a bank or the readout) puts
+        every bank back as it was. Either way t does not count the frame,
+        so the session goes on as if it had never been offered.
         """
         feats = features.data if isinstance(features, Tensor) else \
             np.asarray(features)
@@ -257,15 +249,22 @@ class StreamingSession:
                 f"{cfg.encoder_channels} frame, got shape {feats.shape}")
         if not np.isfinite(feats).all():
             raise SessionMisuse("stream step takes finite features")
-        # one frame, token-major [S, 1, C]: the attention kernel's layout
-        h = T.linear(T.constant(feats[:, None]), self.model.w_in,
-                     self.model.b_in)
-        for blk, folded, bank in zip(self.model.blocks, self.folded,
-                                     self.banks):
-            h = blk.forward(h)
-            h = motion_module_forward_stream(h, self.t, bank, folded)
+        saved = [bank._entries.copy() for bank in self.banks]
+        try:
+            # one frame, token-major [S, 1, C]: the attention kernel's layout
+            h = T.linear(T.constant(feats[:, None]), self.model.w_in,
+                         self.model.b_in)
+            for blk, folded, bank in zip(self.model.blocks, self.folded,
+                                         self.banks):
+                h = blk.forward(h)
+                h = motion_module_forward_stream(h, self.t, bank, folded)
+            out = self.model._readout(h, 1).data[0]
+        except BaseException:
+            for bank, entries in zip(self.banks, saved):
+                bank._entries = entries
+            raise
         self.t += 1
-        return self.model._readout(h, 1).data[0]
+        return out
 
     def step_rgb(self, rgb: np.ndarray) -> np.ndarray:
         return self.head_forward_stream(self.model.encoder.encode_frame(rgb))
@@ -292,7 +291,6 @@ def _stored_arrays(model: DepthModel) -> list[np.ndarray]:
 
 def save_checkpoint(model: DepthModel, path, extra: dict | None = None):
     cfg = asdict(model.cfg)
-    cfg["fusion_factors"] = list(model.cfg.fusion_factors)
     if extra:
         cfg["extra"] = extra
     blob = json.dumps(cfg, sort_keys=True).encode("utf-8")

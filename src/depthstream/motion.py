@@ -35,15 +35,9 @@ __all__ = [
 ]
 
 
-def sinusoidal_table(rows: int, channels: int) -> np.ndarray:
-    """Standard sinusoidal position table, rows indexed by age."""
-    # a seeded DepthModel builds one table per motion module; the copy
-    # keeps each module's trainable table its own
-    return _sinusoids(rows, channels).copy()
-
-
 @functools.lru_cache(maxsize=8)
 def _sinusoids(rows: int, channels: int) -> np.ndarray:
+    """Standard sinusoidal position table, rows indexed by age."""
     pos = np.arange(rows, dtype=np.float64)[:, None]
     i = np.arange(channels, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2 * (i // 2) / channels)
@@ -54,7 +48,7 @@ def _sinusoids(rows: int, channels: int) -> np.ndarray:
 def initial_arrays(layout, rng: np.random.Generator) -> list[np.ndarray]:
     """Initial values for (shape, fill, std) slots: "normal" draws
     N(0, std^2) from rng, slot by slot in order; "zeros", "ones" and
-    "sinusoids" (a sinusoidal_table) draw nothing."""
+    "sinusoids" (a sinusoidal position table) draw nothing."""
     out = []
     for shape, fill, std in layout:
         if fill == "normal":
@@ -64,7 +58,8 @@ def initial_arrays(layout, rng: np.random.Generator) -> list[np.ndarray]:
         elif fill == "ones":
             out.append(np.ones(shape))
         else:
-            out.append(sinusoidal_table(*shape))
+            # a copy keeps each module's trainable table its own
+            out.append(_sinusoids(*shape).copy())
     return out
 
 
@@ -83,14 +78,6 @@ class MotionModuleParams:
     ln_gain: Tensor
     ln_bias: Tensor
     pe_table: Tensor  # [c, C], row index = age within the window
-    context: int
-
-    @classmethod
-    def init(cls, channels: int, context: int, rng: np.random.Generator,
-             trainable: bool = True):
-        return cls(*(Tensor(a, requires_grad=trainable) for a in
-                     initial_arrays(cls.layout(channels, context), rng)),
-                   context=context)
 
     @staticmethod
     def layout(channels: int, context: int) -> list[tuple]:
@@ -106,13 +93,6 @@ class MotionModuleParams:
                 proj(0.5), bias, ((c,), "ones", 0.0), bias,
                 ((context, c), "sinusoids", 0.0)]
 
-    def named_tensors(self):
-        return [("wq", self.wq), ("bq", self.bq), ("wk", self.wk),
-                ("bk", self.bk), ("wv", self.wv), ("bv", self.bv),
-                ("wo", self.wo), ("bo", self.bo),
-                ("ln_gain", self.ln_gain), ("ln_bias", self.ln_bias),
-                ("pe_table", self.pe_table)]
-
 
 @dataclass
 class FoldedWeights:
@@ -123,10 +103,9 @@ class FoldedWeights:
     qk_bias: Tensor  # [C+c]: bq times the same map
     vo: Tensor       # [C, C]: Wv Wo
     vo_bias: Tensor  # [C]: bv Wo + bo
-    pe_table: Tensor
+    pe_table: Tensor  # [c, C]: its row count is the module's context
     ln_gain: Tensor
     ln_bias: Tensor
-    context: int
 
 
 def fold(params: MotionModuleParams) -> FoldedWeights:
@@ -144,7 +123,7 @@ def fold(params: MotionModuleParams) -> FoldedWeights:
         vo=T.matmul(params.wv, params.wo),
         vo_bias=T.linear(params.bv, params.wo, params.bo),
         pe_table=params.pe_table, ln_gain=params.ln_gain,
-        ln_bias=params.ln_bias, context=params.context)
+        ln_bias=params.ln_bias)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,13 +183,13 @@ def attend_streaming(current: Tensor, window, weights: FoldedWeights):
     [S, 1, C]. With w == 1 this is self-attention.
     """
     window = np.asarray(window)
-    w = len(window)
+    w, context = len(window), weights.pe_table.shape[0]
     if w < 1:
         raise ValueError("empty attention window")
-    if w > weights.context:
-        raise ValueError(f"window {w} exceeds context {weights.context}")
-    return _attend(current, T.constant(window.transpose(1, 0, 2)),
-                   weights.context, weights)
+    if w > context:
+        raise ValueError(f"window {w} exceeds context {context}")
+    return _attend(current, T.constant(window.transpose(1, 0, 2)), context,
+                   weights)
 
 
 def attend_batch_masked(seq: Tensor, band: int,
@@ -219,7 +198,7 @@ def attend_batch_masked(seq: Tensor, band: int,
     kernel with every frame as a query, key k visible to query q iff
     0 <= q - k < band."""
     tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
-    band = min(band, weights.context)
+    band = min(band, weights.pe_table.shape[0])
     return T.transpose(_attend(tokens, tokens, band, weights), (1, 0, 2))
 
 

@@ -13,8 +13,9 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [("op_ms_p95", "lower"), ("frames_per_s_p10", "higher"),
-           ("cache_bytes", "lower")]
+METRICS = [("op_ms_p95", "lower", 0.24),
+           ("frames_per_s_p10", "higher", 0.24),
+           ("cache_bytes", "lower", 0.01)]
 
 
 def line(op_ms, fps, failed=0):
@@ -67,6 +68,23 @@ def test_summary_of_canned_pairs():
     assert cache["median_ratio"] == 1.0 and cache["parent_iqr"] == 0.0
     assert s["failed_ops"] == {"parent": 0, "change": 2}
     assert s["all_correct"] is False
+    assert not any(s[name]["beyond_bound"] for name, _, _ in METRICS)
+
+
+@pytest.mark.parametrize("change,beyond", [((0.24, 3900.0), False),
+                                           ((0.26, 3700.0), True)])
+def test_beyond_bound_on_each_side_of_the_bound(change, beyond):
+    # parent 0.20 ms and 5000/s, bound 0.24: the change's median may read
+    # up to 0.248 ms and down to 3800/s
+    runs = [{"side": side, "workload": "stream_small", "seed": seed,
+             "trace": 0, "result": json.loads(line(*values))}
+            for seed in range(3)
+            for side, values in (("parent", (0.20, 5000.0)),
+                                 ("change", change))]
+    s = bench_pairs.summarize(runs, METRICS)["stream_small"]
+    assert s["op_ms_p95"]["beyond_bound"] is beyond
+    assert s["frames_per_s_p10"]["beyond_bound"] is beyond
+    assert s["cache_bytes"]["beyond_bound"] is False
 
 
 def test_unparsable_run_counts_as_incorrect():

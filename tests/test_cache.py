@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthstream.cache import CacheBank, OutOfOrderFrame, PrecisionMode
+from depthstream.cache import CacheBank, OutOfOrderFrame
 from depthstream.tensor import NonFiniteError
 
 
@@ -45,8 +45,7 @@ class TestFeatureCache:
             c.push_evict(1, lat(1))
 
     @pytest.mark.parametrize("precision,value", [
-        (PrecisionMode.FULL32, np.nan), (PrecisionMode.FULL32, np.inf),
-        (PrecisionMode.EMULATED16, 7e4)])
+        ("fp32", np.nan), ("fp32", np.inf), ("fp16", 7e4)])
     def test_non_finite_rejected_before_evicting(self, precision, value):
         # 7e4 is finite in fp32 but overflows fp16's 65504
         c = CacheBank(2, 1, precision)
@@ -74,7 +73,7 @@ class TestFeatureCache:
         assert win.shape[0] == 0 and win.dtype == np.float32
 
     def test_fp16_rounding(self):
-        c = CacheBank(2, 1, precision=PrecisionMode.EMULATED16)
+        c = CacheBank(2, 1, precision="fp16")
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.5, 2.0, 64).astype(np.float32)
         c.push_evict(0, vals)
@@ -89,7 +88,7 @@ class TestFeatureCache:
         for i in range(16):
             c.push_evict(i, np.zeros(1024, dtype=np.float32))
         assert c.memory_footprint() == 16 * 1024 * 4
-        h = CacheBank(16, 1, precision=PrecisionMode.EMULATED16)
+        h = CacheBank(16, 1, precision="fp16")
         for i in range(16):
             h.push_evict(i, np.zeros(1024, dtype=np.float32))
         assert h.memory_footprint() == 16 * 1024 * 2
@@ -120,6 +119,11 @@ class TestFeatureCache:
 
 
 class TestCacheBank:
+    @pytest.mark.parametrize("precision", ["fp8", "FP16", None])
+    def test_unknown_precision_rejected(self, precision):
+        with pytest.raises(ValueError):
+            CacheBank(2, precision=precision)
+
     def test_single_cache_degenerate(self):
         bank = CacheBank(3, 1)
         plain = collections.deque(maxlen=3)
@@ -161,8 +165,7 @@ class TestCacheBank:
         # frames 0, 1, 2, ...: window 0..t while t < c, then the c newest
         # of t, t - m, ...; the bank keeps the last m * c frames
         size = 8
-        for precision, per_entry in ((PrecisionMode.FULL32, 4 * size),
-                                     (PrecisionMode.EMULATED16, 2 * size)):
+        for precision, per_entry in (("fp32", 4 * size), ("fp16", 2 * size)):
             for c, m in itertools.product(range(1, 7), range(1, 5)):
                 bank = CacheBank(c, m, precision)
                 for _ in range(2):  # clear() restores the empty bank

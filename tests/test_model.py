@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from depthstream import tensor as T
-from depthstream.cache import PrecisionMode
 from depthstream.model import (DepthModel, ModelConfig, SessionMisuse,
                                load_checkpoint, save_checkpoint)
 from depthstream.tensor import Tape
@@ -156,11 +155,15 @@ class TestSession:
     def test_fp16_footprint_half(self, model, cfg):
         seq = rand_rgb(cfg.context, cfg, seed=11)
         s32 = model.new_session()
-        s16 = model.new_session(precision=PrecisionMode.EMULATED16)
+        s16 = model.new_session(precision="fp16")
         for f in seq:
             s32.step_rgb(f)
             s16.step_rgb(f)
         assert s16.memory_footprint() * 2 == s32.memory_footprint()
+
+    def test_unknown_precision_rejected(self, model):
+        with pytest.raises(ValueError):
+            model.new_session(precision="fp8")
 
     def test_multi_frame_step_rejected(self, model, cfg):
         session = model.new_session()
@@ -198,8 +201,9 @@ class TestSession:
 
 
 class TestNonFiniteState:
-    """A NaN or Inf never enters a cache bank: push_evict refuses it, and
-    a non-finite output raises after the banks and t have advanced."""
+    """A NaN or Inf never enters a cache bank: push_evict refuses it. A
+    raise anywhere in a stream step leaves every bank and t as they were,
+    so the session streams on."""
 
     @staticmethod
     def assert_banks_finite(session):
@@ -210,11 +214,11 @@ class TestNonFiniteState:
         # |h| > 65504 is finite in fp32 but inf once cast to fp16
         model.motions[0].ln_gain.data = model.motions[0].ln_gain.data * 1e5
         frame = model.encoder.encode_frame(rand_rgb(1, cfg, seed=20)[0])
-        s16 = model.new_session(precision=PrecisionMode.EMULATED16)
+        s16 = model.new_session(precision="fp16")
         with pytest.raises(T.NonFiniteError):
             s16.head_forward_stream(frame)
         assert [len(b) for b in s16.banks] == [0, 0] and s16.t == 0
-        s32 = model.new_session(precision=PrecisionMode.FULL32)
+        s32 = model.new_session(precision="fp32")
         assert np.isfinite(s32.head_forward_stream(frame)).all()
 
     @pytest.mark.parametrize("modulus", [1, 2])
@@ -237,15 +241,44 @@ class TestNonFiniteState:
             got.append(session.head_forward_stream(f))
         np.testing.assert_array_equal(np.stack(got), want)
 
+    @pytest.mark.parametrize("modulus", [1, 2])
+    @pytest.mark.parametrize("at", [3, 8])
+    def test_raise_at_module_1_rolls_back_every_bank(self, model, cfg,
+                                                     monkeypatch, modulus,
+                                                     at):
+        # at frame 3 no bank has evicted yet; at frame 8 bank 0's push
+        # evicts its oldest frame, which the rollback must put back
+        feats = model.encoder.encode_sequence(rand_rgb(12, cfg, seed=23))
+        clean = model.new_session(cache_modulus=modulus)
+        want = np.stack([clean.head_forward_stream(f) for f in feats])
+        session = model.new_session(cache_modulus=modulus)
+
+        def fault(frame_index, latent):
+            raise T.NonFiniteError("injected at module 1")
+
+        got = []
+        for i, f in enumerate(feats):
+            if i == at:
+                before = [b.window() for b in session.banks]
+                with monkeypatch.context() as m:
+                    m.setattr(session.banks[1], "push_evict", fault)
+                    with pytest.raises(T.NonFiniteError):
+                        session.head_forward_stream(f)
+                assert session.t == at
+                for b, w in zip(session.banks, before):
+                    np.testing.assert_array_equal(b.window(), w)
+            got.append(session.head_forward_stream(f))
+        np.testing.assert_array_equal(np.stack(got), want)
+
     @pytest.mark.parametrize("fault", ["fp16_overflow", "huge_frame",
                                        "inf_block1_b1", "inf_w_out"])
     def test_no_bank_holds_a_non_finite_value_after_a_raise(self, model, cfg,
                                                             fault):
-        precision = PrecisionMode.FULL32
+        precision = "fp32"
         if fault == "fp16_overflow":
             model.motions[1].ln_gain.data = \
                 model.motions[1].ln_gain.data * 1e5
-            precision = PrecisionMode.EMULATED16
+            precision = "fp16"
         elif fault == "inf_block1_b1":
             model.blocks[1].b1.data[0] = np.inf
         elif fault == "inf_w_out":

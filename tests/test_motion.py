@@ -1,19 +1,26 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from depthstream import tensor as T
 from depthstream.cache import CacheBank
 from depthstream.motion import (MotionModuleParams, attend_batch_masked,
-                                attend_streaming, fold,
+                                attend_streaming, fold, initial_arrays,
                                 motion_module_forward_batch,
                                 motion_module_forward_stream)
 from depthstream.tensor import Tensor, gradcheck
 
 
 def make_params(channels=8, context=4, seed=0, trainable=False):
-    return MotionModuleParams.init(channels, context,
-                                   np.random.default_rng(seed),
-                                   trainable=trainable)
+    arrays = initial_arrays(MotionModuleParams.layout(channels, context),
+                            np.random.default_rng(seed))
+    return MotionModuleParams(*(Tensor(a, requires_grad=trainable)
+                                for a in arrays))
+
+
+def module_tensors(params):
+    return [getattr(params, f.name) for f in fields(params)]
 
 
 def rand_latents(n, s, c, seed=0):
@@ -30,7 +37,7 @@ def dense_attention_oracle(seq, params, band=None):
     per-token computation straight from the definition, keys and values
     projected from the positionally encoded latents."""
     n, s, c = seq.shape
-    band = params.context if band is None else band
+    band = params.pe_table.shape[0] if band is None else band
     out = np.zeros_like(seq)
     for tok in range(s):
         for q in range(n):
@@ -163,7 +170,7 @@ class TestMotionModule:
     def _gradcheck_batch(n, band, seed):
         params = make_params(channels=4, context=3, seed=seed, trainable=True)
         seq = rand_latents(n, 2, 4, seed=seed + 1)
-        tensors = [t for _, t in params.named_tensors()]
+        tensors = module_tensors(params)
 
         def f():
             out = motion_module_forward_batch(Tensor(seq), band, fold(params))
@@ -185,7 +192,7 @@ class TestMotionModule:
         params = make_params(channels=4, context=3, seed=29, trainable=True)
         seq = rand_latents(3, 2, 4, seed=30)
         current = Tensor(seq[2][:, None], requires_grad=True)
-        tensors = [t for _, t in params.named_tensors()] + [current]
+        tensors = module_tensors(params) + [current]
 
         def f():
             out = attend_streaming(current, list(seq), fold(params))
@@ -198,7 +205,7 @@ class TestMotionModule:
         # a window shorter than the context reads a slice of the pe table
         params = make_params(channels=4, context=3, seed=31, trainable=True)
         seq = rand_latents(2, 2, 4, seed=32)
-        tensors = [t for _, t in params.named_tensors()]
+        tensors = module_tensors(params)
 
         def f():
             out = attend_streaming(frame(seq[1]), list(seq), fold(params))
