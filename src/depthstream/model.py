@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .cache import CacheBank
+from .cache import _DTYPES, CacheBank
 from .motion import MotionModuleParams, fold, initial_arrays, \
     motion_module_forward_batch, motion_module_forward_stream
 from .tensor import Tensor
@@ -50,6 +50,8 @@ class ModelConfig:
             raise ValueError("height/width must be divisible by patch size")
         if self.context < 1 or self.num_motion_modules < 1:
             raise ValueError("context and module count must be >= 1")
+        if self.precision not in _DTYPES:
+            raise ValueError(f"precision must be one of {list(_DTYPES)}")
 
     @property
     def tokens(self) -> int:

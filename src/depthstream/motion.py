@@ -2,14 +2,16 @@
 
 Training runs batched attention under a banded lower-triangular mask of
 width c; streaming runs cached cross-attention against the window of a
-CacheBank: at most c past latents, spaced m frames apart once the bank
-holds more than c. Both run one banded attention kernel, so for m = 1
-their outputs agree frame for frame. Latents enter the cache after layer norm
-but before positional encoding; ages are window-relative (age 0 = current
-frame) and fold into the scores and context, as the encoding is added
-before the key and value projections. The kernel reads a module's
-weights through fold, which takes their fixed products once: per batch
-pass, or once per streaming session.
+CacheBank: at most c past latents, spaced m frames apart once the bank holds
+more than c. Both run one banded attention kernel, so for m = 1 their
+outputs agree frame for frame. Latents enter the cache after layer norm but
+before positional encoding; ages are window-relative (age 0 = current frame)
+and fold into the scores and context, as the encoding is added before the
+key and value projections. The kernel moves those per-age columns to and
+from per-key ones by the relative shift ("skew") of Music Transformer
+(T.skew, T.unskew) in batch, and by reversing them in the stream. It reads
+a module's weights through fold, which takes their fixed products once:
+per batch pass, or once per streaming session.
 """
 
 from __future__ import annotations
@@ -127,31 +129,20 @@ def fold(params: MotionModuleParams) -> FoldedWeights:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_tables(nq: int, nk: int, band: int, channels: int):
-    """The kernel's tables for nq queries at key positions nk-nq..nk-1:
-    the ages in use, the index gathering each (query, key) position score
-    from the [S, nq, C+c] output of the folded query map, the additive band
-    mask (None if all are visible) and the index gathering each
-    (query, age) weight from [S, nq, nk]."""
-    ages = min(band, nk)
-    rows = np.arange(nq)[:, None]
-    pos = np.arange(nk - nq, nk)[:, None]
-    age = pos - np.arange(nk)
+def _band_mask(nq: int, nk: int, band: int):
+    """The additive band mask for nq queries at key positions nk-nq..nk-1,
+    or None if every key is visible to every query."""
+    age = np.arange(nk - nq, nk)[:, None] - np.arange(nk)
     visible = (age >= 0) & (age < band)
-    score_idx = (slice(None), rows, channels + np.where(visible, age, 0))
-    mask = None if visible.all() else np.where(visible, 0.0, -1e30)
-    key = pos - np.arange(ages)
-    # an age older than the first key reads the next key, which lies in
-    # the future, so its weight is exactly 0
-    ctx_idx = (slice(None), rows, np.where(key >= 0, key, pos + 1))
-    return ages, score_idx, mask, ctx_idx
+    return None if visible.all() else np.where(visible, 0.0, -1e30)
 
 
 def _attend(query: Tensor, keys: Tensor, band: int,
             weights: FoldedWeights) -> Tensor:
     """The attention kernel of both modes: query [S, Nq, C] holds the
     latents at positions Nk-Nq..Nk-1 of keys [S, Nk, C] (post layer-norm,
-    no PE); key j is visible at position p iff its age p - j is < band.
+    no PE): all of them (batch) or the newest (stream, Nq = 1). Key j is
+    visible at position p iff its age p - j is < band.
 
     With k_j = (x_j + pe[age_j]) Wk + bk, a score is (q Wk^T).x_j +
     (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
@@ -160,19 +151,21 @@ def _attend(query: Tensor, keys: Tensor, band: int,
     product with every pe row in one map, and Wv Wo in one. Returns
     [S, Nq, C] before the residual.
     """
-    _, nq, channels = query.shape
-    ages, score_idx, mask, ctx_idx = _band_tables(nq, keys.shape[1], band,
-                                                  channels)
+    (_, nq, channels), nk = query.shape, keys.shape[1]
+    ages, mask = min(band, nk), _band_mask(nq, nk, band)
     qm = T.linear(query, weights.qk, weights.qk_bias)  # [S, Nq, C+c]
+    pos = qm[..., channels + ages - 1:channels - 1:-1] if nq == 1 else \
+        T.skew(qm[..., channels:channels + ages])
     scores = T.add(T.bmm(qm[..., :channels], T.transpose(keys, (0, 2, 1))),
-                   qm[score_idx])                      # [S, Nq, Nk]
+                   pos)                                # [S, Nq, Nk]
     if mask is not None:
         scores = T.add(scores, mask)
     attn = T.softmax_rows(scores)
     pe = weights.pe_table if ages == weights.pe_table.shape[0] else \
         weights.pe_table[:ages]
     # attention weight per age [S, Nq, ages] times pe, plus attn . x
-    ctx = T.linear(attn[ctx_idx], pe, T.bmm(attn, keys))
+    per_age = attn[..., ::-1] if nq == 1 else T.unskew(attn, ages)
+    ctx = T.linear(per_age, pe, T.bmm(attn, keys))
     return T.linear(ctx, weights.vo, weights.vo_bias)
 
 
@@ -196,7 +189,9 @@ def attend_batch_masked(seq: Tensor, band: int,
                         weights: FoldedWeights) -> Tensor:
     """Banded masked attention over an [N, S, C] sequence: the stream's
     kernel with every frame as a query, key k visible to query q iff
-    0 <= q - k < band."""
+    0 <= q - k < band (ValueError if band < 1)."""
+    if band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
     tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
     band = min(band, weights.pe_table.shape[0])
     return T.transpose(_attend(tokens, tokens, band, weights), (1, 0, 2))

@@ -3,12 +3,12 @@
 Tensors wrap row-major numpy arrays in the working precision (float32 by
 default). Operations are module functions (T.add, T.linear, ...); a Tensor
 overloads no operator except indexing. Each op records its backward rule
-onto the active Tape; with no tape active it is a plain numpy computation
-whose result requires no gradient.
+onto the active Tape, and a backward computes no gradient for an input that
+requires none; with no tape active an op is a plain numpy computation whose
+result requires no gradient. T.skew and T.unskew are the relative shift.
 Ops do not check finiteness. NonFiniteError is raised where a NaN or Inf
 would persist or leave: a cache-bank write, a model output, the loss.
-Gradient checking runs the same code under float64 to keep finite
-differences out of the float32 noise floor.
+Gradient checking runs the same code in float64, out of float32's noise.
 """
 
 from __future__ import annotations
@@ -180,7 +180,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), back)
 
@@ -190,7 +191,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), back)
 
@@ -200,7 +202,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), back)
 
@@ -211,8 +214,9 @@ def div(a, b) -> Tensor:
         out = a.data / b.data
 
     def back(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _finish(out, (a, b), back)
@@ -243,10 +247,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _finish(np.atleast_1d(out), (a,), back)
 
@@ -265,8 +268,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
-        return g @ b.data.T, gb
+        gb = (a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
+              if b.requires_grad else None)
+        return g @ b.data.T if a.requires_grad else None, gb
 
     return _finish(out, (a, b), back)
 
@@ -279,7 +283,8 @@ def bmm(a, b) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+        return (g @ b.data.transpose(0, 2, 1) if a.requires_grad else None,
+                a.data.transpose(0, 2, 1) @ g if b.requires_grad else None)
 
     return _finish(out, (a, b), back)
 
@@ -316,12 +321,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out = gain.data * xhat + bias.data
 
     def back(g):
-        gg = g * gain.data
-        dx = inv / d * (d * gg - gg.sum(axis=-1, keepdims=True)
-                        - xhat * (gg * xhat).sum(axis=-1, keepdims=True))
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
+        gg = g * gain.data if x.requires_grad else None
+        dx = None if gg is None else inv / d * (
+            d * gg - gg.sum(axis=-1, keepdims=True)
+            - xhat * (gg * xhat).sum(axis=-1, keepdims=True))
+        return (dx,
+                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
     return _finish(out, (x, gain, bias), back)
 
@@ -335,9 +341,10 @@ def linear(x, w, b) -> Tensor:
     out = x.data @ w.data + b.data
 
     def back(g):
-        gx = g @ w.data.T
-        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
-        return gx, gw, _unbroadcast(g, b.shape)
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = (x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
+              if w.requires_grad else None)
+        return gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None
 
     return _finish(out, (x, w, b), back)
 
@@ -393,9 +400,35 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(ts, np.split(g, splits, axis=axis)))
 
     return _finish(out, tuple(ts), back)
+
+
+def _shift(v: np.ndarray, width: int) -> np.ndarray:
+    """out[b, i, j] = v[b, i, i - j] where 0 <= i - j < v.shape[2], else 0,
+    for j < width: v's rows, reversed, go into zeros at row stride w + width
+    and are read back at stride w + width - 1, which moves row i left by i."""
+    b, n, w = v.shape
+    buf = np.zeros((b, n * (w + width)), dtype=v.dtype)
+    buf.reshape(b, n, w + width)[..., :w] = v[..., ::-1]
+    return buf[:, w - 1:w - 1 + n * (w + width - 1)].reshape(
+        b, n, w + width - 1)[..., :width]
+
+
+def skew(x) -> Tensor:
+    """Per-age values [B, N, a] (age k of query i) to per-key values
+    [B, N, N] (key i - k), 0 outside the band; unskew is its backward."""
+    x = _as_tensor(x)
+    return _finish(_shift(x.data, x.shape[1]), (x,),
+                   lambda g: (_shift(g, x.shape[2]),))
+
+
+def unskew(y, ages: int) -> Tensor:
+    """Per-key values [B, N, N] to per-age values [B, N, ages]: skew's inverse."""
+    y = _as_tensor(y)
+    return _finish(_shift(y.data, ages), (y,), lambda g: (_shift(g, y.shape[2]),))
 
 
 def upsample_nearest(x, factor: int) -> Tensor:

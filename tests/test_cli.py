@@ -147,6 +147,13 @@ class TestInference:
                    "--context", "4", *flags) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_batch_rejects_context_below_one(self, pipeline, tmp_path,
+                                             capsys):
+        assert run("infer-batch", "--data", str(pipeline["data"]), "--out",
+                   str(tmp_path / "b"), "--model", str(pipeline["ckpt"]),
+                   "--context", "0") == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("stream", "--seed", "1"), ("infer-batch", "--seed", "1"),
         ("eval", "--seed", "1"), ("drift", "--seed", "1"),

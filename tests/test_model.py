@@ -382,6 +382,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(height=30, width=32, patch_size=8)
 
+    def test_unknown_precision_rejected_at_config(self):
+        with pytest.raises(ValueError, match="precision"):
+            ModelConfig(precision="fp8")
+
+    @pytest.mark.parametrize("context", [0, -2])
+    def test_batch_context_below_one_rejected(self, model, cfg, context):
+        feats = model.encoder.encode_sequence(rand_rgb(3, cfg, seed=15))
+        with pytest.raises(ValueError, match="band"):
+            model.head_forward_batch(feats, context=context)
+
     def test_session_context_capped_by_table(self, model):
         with pytest.raises(ValueError):
             model.new_session(context=model.cfg.context + 1)

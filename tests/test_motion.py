@@ -111,6 +111,32 @@ class TestAttendBatchMasked:
         exact = attend_batch_masked(Tensor(seq), 8, fold(params)).data
         np.testing.assert_allclose(wide, exact, atol=1e-7)
 
+    @pytest.mark.parametrize("band", [0, -2])
+    def test_band_below_one_rejected(self, band):
+        # band 0 would mask nothing and let every frame see the future
+        seq = rand_latents(4, 2, 8, seed=10)
+        with pytest.raises(ValueError, match="band"):
+            attend_batch_masked(Tensor(seq), band, fold(make_params()))
+
+    def test_no_fancy_index_in_either_mode(self, monkeypatch):
+        # the kernel moves scores and weights by skew and reversed slices;
+        # a fancy index would scatter with np.add.at in the backward
+        getitem = T.getitem
+
+        def basic_only(x, idx):
+            out = getitem(x, idx)
+            assert np.may_share_memory(x.data[idx], x.data), idx
+            return out
+
+        monkeypatch.setattr(T, "getitem", basic_only)
+        params = make_params(channels=8, context=4, seed=11, trainable=True)
+        seq = rand_latents(6, 4, 8, seed=12)
+        with T.Tape() as tape:
+            out = attend_batch_masked(Tensor(seq), 3, fold(params))
+            tape.backward(T.sum_(T.mul(out, out)))
+        assert params.pe_table.grad is not None
+        attend_streaming(frame(seq[2]), list(seq[:3]), fold(params))
+
     def test_per_frame_equals_streaming_pipeline(self):
         params = make_params(channels=8, context=4, seed=11)
         seq = rand_latents(6, 4, 8, seed=12)

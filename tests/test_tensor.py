@@ -251,3 +251,100 @@ class TestShapeOps:
     def test_tensor_invariant_product_of_shape(self):
         t = Tensor(np.ones((2, 3, 4)))
         assert int(np.prod(t.shape)) == t.size
+
+
+def _skew_gather(x):
+    """The kernel's former position-score gather: per-age values [B, N, a]
+    to per-key values [B, N, N] by a fancy index, 0 outside the band."""
+    _, n, a = x.shape
+    rows = np.arange(n)[:, None]
+    age = rows - np.arange(n)
+    visible = (age >= 0) & (age < a)
+    return np.where(visible, x[:, rows, np.where(visible, age, 0)], 0)
+
+
+def _unskew_gather(y, ages):
+    """The kernel's former per-age weight gather from [B, N, N]; an age
+    older than the first key reads the next key, in the future."""
+    n = y.shape[1]
+    pos = np.arange(n)[:, None]
+    key = pos - np.arange(ages)
+    return y[:, pos, np.where(key >= 0, key, pos + 1)]
+
+
+class TestSkew:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_skew_equals_the_gather(self, n):
+        rng = np.random.default_rng(n)
+        for a in range(1, n + 1):
+            x = rng.normal(size=(3, n, a)).astype(np.float32)
+            np.testing.assert_array_equal(T.skew(Tensor(x)).data,
+                                          _skew_gather(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_unskew_equals_the_gather(self, n):
+        # the gather read a future key for an age older than the first key,
+        # whose attention weight is 0: a causal y keeps the two equal
+        rng = np.random.default_rng(n)
+        for a in range(1, n + 1):
+            y = np.tril(rng.normal(size=(3, n, n))).astype(np.float32)
+            np.testing.assert_array_equal(T.unskew(Tensor(y), a).data,
+                                          _unskew_gather(y, a))
+
+    @pytest.mark.parametrize("n,a", [(1, 1), (5, 2), (7, 7), (16, 9)])
+    def test_unskew_inverts_skew(self, n, a):
+        # ages older than the first key have no key, so they are 0 in x
+        x = np.random.default_rng(a).normal(size=(2, n, a)).astype(np.float32)
+        x[:, np.arange(n)[:, None] < np.arange(a)] = 0
+        np.testing.assert_array_equal(
+            T.unskew(T.skew(Tensor(x)), a).data, x)
+
+    @pytest.mark.parametrize("n,a", [(1, 1), (4, 2), (4, 4)])
+    def test_gradcheck(self, n, a):
+        rng = np.random.default_rng(n + a)
+        x = Tensor(rng.normal(size=(2, n, a)), requires_grad=True)
+        y = Tensor(rng.normal(size=(2, n, n)), requires_grad=True)
+        wx, wy = rng.normal(size=(2, n, n)), rng.normal(size=(2, n, a))
+
+        def f():
+            return T.add(T.sum_(T.mul(T.skew(x), wx)),
+                         T.sum_(T.mul(T.unskew(y, a), wy)))
+
+        rep = gradcheck(f, [x, y])
+        assert rep["passed"], rep
+
+
+def _operands(shapes, constant):
+    rng = np.random.default_rng(len(shapes))
+    return [Tensor(rng.normal(size=s), requires_grad=i != constant)
+            for i, s in enumerate(shapes)]
+
+
+CONSTANT_OPERAND_OPS = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "sub": (T.sub, [(2, 3), (2, 3)]),
+    "mul": (T.mul, [(2, 3), (2, 1)]),
+    "div": (T.div, [(2, 3), (2, 3)]),
+    "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "bmm": (T.bmm, [(2, 2, 3), (2, 3, 4)]),
+    "linear": (T.linear, [(2, 3), (3, 4), (4,)]),
+    "layer_norm": (T.layer_norm, [(2, 3), (3,), (3,)]),
+    "concat": (lambda *ts: T.concat(ts), [(2, 3), (1, 3), (4, 3)]),
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("name", CONSTANT_OPERAND_OPS)
+    def test_backward_skips_each_constant(self, name):
+        op, shapes = CONSTANT_OPERAND_OPS[name]
+        for constant in range(len(shapes)):
+            ts = _operands(shapes, constant)
+            with Tape() as tape:
+                out = op(*ts)
+            ((node_out, inputs, back),) = tape._nodes
+            grads = back(np.ones_like(node_out.data))
+            assert node_out is out and inputs == tuple(ts)
+            assert [g is None for g in grads] == [
+                not t.requires_grad for t in ts]
+            for t, g in zip(ts, grads):
+                assert g is None or g.shape == t.shape
