@@ -53,41 +53,50 @@ class TrainConfig:
     seed: int = 0
 
 
-def _fit_scale_shift(pred: Tensor, gt: np.ndarray, mask: np.ndarray,
-                     axis=None):
-    """Differentiable least-squares (s, t) of pred against gt over mask:
-    one pooled fit (axis=None) or one per frame (axis=(1, 2)). s and t
-    keep the reduced axes, so they broadcast against pred."""
-    m = mask.astype(np.float32)
+def _fit_terms(pred, gt, masks):
+    """pred as a Tensor, gt and the mask as float32, and the full-resolution
+    products every least-squares fit of pred against gt sums: pred·m,
+    pred²·m, pred·gt·m (taped) and gt·m."""
+    p = T._as_tensor(pred)
+    gt = np.asarray(gt, dtype=np.float32)
+    m = np.asarray(masks, dtype=bool).astype(np.float32)
+    pm = T.mul(p, m)
+    return p, gt, m, (pm, T.mul(pm, p), T.mul(pm, gt), gt * m)
+
+
+def _solve_scale_shift(products, m: np.ndarray, axis=None):
+    """Differentiable least-squares (s, t) and valid-pixel counts n from
+    _fit_terms' products summed over axis: pooled (None) or per frame
+    ((1, 2)). All three keep the reduced axes, so they broadcast on pred."""
     n = m.sum(axis=axis, keepdims=True)
     if (n < 2).any():
         raise DegenerateAlignment("need >= 2 valid pixels for the fit")
-    pm = T.mul(pred, m)
-    sp = T.sum_(pm, axis, keepdims=True)
-    sg = (gt * m).sum(axis=axis, keepdims=True)
-    spp = T.sum_(T.mul(pm, pred), axis, keepdims=True)
-    spg = T.sum_(T.mul(pm, gt), axis, keepdims=True)
+    sp, spp, spg = (T.sum_(x, axis, keepdims=True) for x in products[:3])
+    sg = products[3].sum(axis=axis, keepdims=True)
     det = T.sub(T.mul(spp, n), T.mul(sp, sp))
     if (np.abs(det.data) / (n * n) < 1e-12).any():
         raise DegenerateAlignment("prediction variance too small to fit")
     s = T.div(T.sub(T.mul(spg, n), T.mul(sp, sg)), det)
     t = T.div(T.sub(T.mul(spp, sg), T.mul(sp, spg)), det)
-    return s, t
+    return s, t, n
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
-    m = mask.astype(np.float32)
+    m = np.asarray(mask, dtype=np.float32)
     n = max(float(m.sum()), 1.0)
     return T.mul(T.sum_(T.mul(T.abs_(diff), m)), 1.0 / n)
 
 
+def _scene_aligned(p: Tensor, m: np.ndarray, products) -> Tensor:
+    s, t, _ = _solve_scale_shift(products, m)
+    return T.add(T.mul(p, s), t)
+
+
 def scene_align(pred, gt, masks) -> Tensor:
     """The prediction aligned by ONE scale/shift fit pooled over the whole
-    sequence (SSI and TGM each run their own)."""
-    p = T._as_tensor(pred)
-    s, t = _fit_scale_shift(p, np.asarray(gt, dtype=np.float32),
-                            np.asarray(masks, dtype=bool))
-    return T.add(T.mul(p, s), t)
+    sequence. The training loss aligns once, and SSI and TGM read it."""
+    p, _, m, products = _fit_terms(pred, gt, masks)
+    return _scene_aligned(p, m, products)
 
 
 def loss_ssi_scene(pred, gt, masks) -> Tensor:
@@ -121,27 +130,33 @@ def loss_sascon(pred, gt, masks) -> Tensor:
     """Scale-and-shift consistency: per frame, L1 between the frame aligned
     with frame 0's fit and the frame aligned with its own fit; mean over
     each frame's valid pixels, then over frames."""
-    p = T._as_tensor(pred)
-    m = np.asarray(masks, dtype=bool)
-    s, t = _fit_scale_shift(p, np.asarray(gt, dtype=np.float32), m,
-                            axis=(1, 2))
+    p, _, m, products = _fit_terms(pred, gt, masks)
+    return _sascon(p, m, products)
+
+
+def _sascon(p: Tensor, m: np.ndarray, products) -> Tensor:
+    s, t, n = _solve_scale_shift(products, m, axis=(1, 2))
     # (p*s0 + t0) - (p*s + t), with every frame's fit in one op
     gap = T.add(T.mul(p, T.sub(s[0], s)), T.sub(t[0], t))
-    n = m.sum(axis=(1, 2), keepdims=True)
-    weight = m / (n * m.shape[0])
+    # in the working precision, so a float64 gradcheck weighs in float64
+    weight = np.divide(m, n * m.shape[0], dtype=T._dtype)
     return T.sum_(T.mul(T.abs_(gap), weight))
 
 
 def _weighted_losses(pred, gt, masks, weights: LossWeights):
     """The weighted total and every term it ran; a zero beta or gamma
-    skips its term."""
-    terms = {"ssi": loss_ssi_scene(pred, gt, masks)}
+    skips its term. The fits' products are built once, and SSI and TGM
+    read one scene-aligned prediction."""
+    p, gt, m, products = _fit_terms(pred, gt, masks)
+    aligned = _scene_aligned(p, m, products)
+    terms = {"ssi": _masked_mae(T.sub(aligned, gt), m)}
     total = T.mul(terms["ssi"], weights.alpha)
-    for name, fn, w in (("tgm", loss_tgm, weights.beta),
-                        ("sascon", loss_sascon, weights.gamma)):
-        if w != 0:
-            terms[name] = fn(pred, gt, masks)
-            total = T.add(total, T.mul(terms[name], w))
+    if weights.beta != 0:
+        terms["tgm"] = temporal_gradient_error(aligned, gt, m)
+        total = T.add(total, T.mul(terms["tgm"], weights.beta))
+    if weights.gamma != 0:
+        terms["sascon"] = _sascon(p, m, products)
+        total = T.add(total, T.mul(terms["sascon"], weights.gamma))
     return total, terms
 
 

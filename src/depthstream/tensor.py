@@ -437,9 +437,9 @@ def upsample_nearest(x, factor: int) -> Tensor:
     out = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
 
     def back(g):
-        h, w = x.shape[-2], x.shape[-1]
-        g = g.reshape(*g.shape[:-2], h, factor, w, factor)
-        return (g.sum(axis=(-3, -1)),)
+        # two contiguous sums: over each row block, then each column block
+        rows = g.reshape(-1, factor, g.shape[-1]).sum(axis=1)
+        return (rows.reshape(-1, factor).sum(axis=1).reshape(x.shape),)
 
     return _finish(out, (x,), back)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthstream import tensor as T
 from depthstream.align import DegenerateAlignment
 from depthstream.losses import (ABLATION_ROWS, AugmentConfig, LossWeights,
                                 TrainConfig, Trainer, ablation_suite,
@@ -12,7 +13,7 @@ from depthstream.losses import (ABLATION_ROWS, AugmentConfig, LossWeights,
                                 loss_tgm, loss_total, temporal_gradient_error,
                                 train_step)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.tensor import Tape, Tensor, gradcheck
+from depthstream.tensor import Tape, Tensor, gradcheck, working_dtype
 
 
 def affine_instance(seed=0, frames=3, shape=(4, 5), a=1.8, b=0.4):
@@ -210,15 +211,51 @@ class TestTotalLoss:
         assert loss_total(pred, gt, masks, w).item() == pytest.approx(
             0.5 * a + 2.0 * b + 3.0 * c, rel=1e-5)
 
-    def test_gamma_zero_matches_two_term_combination_bitwise(self):
+    @pytest.mark.parametrize("weights", [LossWeights(1, 1, 0),
+                                         LossWeights(1, 1, 1)],
+                             ids=["gamma_zero", "all_three"])
+    def test_total_is_ordered_sum_of_terms_bitwise(self, weights):
         pred, gt, masks = affine_instance(seed=21)
         pred = pred + np.random.default_rng(22).normal(
             0, 0.2, pred.shape).astype(np.float32)
-        from depthstream import tensor as T
-        two_term = T.add(T.mul(loss_ssi_scene(pred, gt, masks), 1.0),
+        masks[1:, 0, :2] = False
+        expected = T.add(T.mul(loss_ssi_scene(pred, gt, masks), 1.0),
                          T.mul(loss_tgm(pred, gt, masks), 1.0))
-        total = loss_total(pred, gt, masks, LossWeights(1, 1, 0))
-        assert total.item() == two_term.item()
+        if weights.gamma:
+            expected = T.add(expected,
+                             T.mul(loss_sascon(pred, gt, masks), 1.0))
+        assert loss_total(pred, gt, masks, weights).item() == expected.item()
+
+    def test_gradient_is_sum_of_term_gradients(self):
+        pred, gt, _ = affine_instance(seed=24, frames=5, shape=(6, 7))
+        masks = uneven_masks(5, (6, 7), 3, seed=24)
+        pred = pred + np.random.default_rng(25).normal(
+            0, 0.2, pred.shape).astype(np.float32)
+
+        def grad(fn):
+            param = Tensor(pred, requires_grad=True)
+            with Tape() as tape:
+                tape.backward(fn(param, gt, masks))
+            return param.grad
+
+        with working_dtype(np.float64):
+            total = grad(loss_total)
+            terms = sum(grad(fn)
+                        for fn in (loss_ssi_scene, loss_tgm, loss_sascon))
+        assert total.dtype == np.float64
+        assert np.abs(total - terms).max() <= 1e-12 * np.abs(terms).max()
+
+    def test_full_resolution_ops_recorded_once(self):
+        # each fit's products pred*m, pred^2*m and pred*gt*m are built once
+        # and SSI and TGM read one aligned prediction: 3 products, 2 for the
+        # alignment, 3 for SSI's error and 4 for SASCon's gap and weighting
+        pred, gt, masks = affine_instance(seed=26, frames=6)
+        masks[1:, 0, 0] = False
+        param = Tensor(pred, requires_grad=True)
+        with Tape() as tape:
+            loss_total(param, gt, masks)
+        full = [out for out, _, _ in tape._nodes if out.shape == pred.shape]
+        assert len(full) == 12
 
     def test_tape_size_does_not_grow_with_frames(self):
         sizes = []

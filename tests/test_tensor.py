@@ -248,6 +248,21 @@ class TestShapeOps:
             tape.backward(T.sum_(y))
         np.testing.assert_allclose(x.grad, np.full((1, 2, 2), 9.0))
 
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (2, 3, 4, 2)])
+    def test_upsample_nearest_gradient_sums_each_block(self, shape):
+        factor = 3
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        up = (*shape[:-2], shape[-2] * factor, shape[-1] * factor)
+        # integers, so every order of summation gives the same float32
+        g = np.random.default_rng(0).integers(-50, 50, up).astype(np.float32)
+        with Tape() as tape:
+            tape.backward(T.sum_(T.mul(T.upsample_nearest(x, factor), g)))
+        expected = np.zeros(shape, dtype=np.float32)
+        for idx in np.ndindex(*up):
+            *lead, i, j = idx
+            expected[(*lead, i // factor, j // factor)] += g[idx]
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_tensor_invariant_product_of_shape(self):
         t = Tensor(np.ones((2, 3, 4)))
         assert int(np.prod(t.shape)) == t.size
