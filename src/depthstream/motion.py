@@ -7,11 +7,12 @@ more than c. Both run one banded attention kernel, so for m = 1 their
 outputs agree frame for frame. Latents enter the cache after layer norm but
 before positional encoding; ages are window-relative (age 0 = current frame)
 and fold into the scores and context, as the encoding is added before the
-key and value projections. The kernel moves those per-age columns to and
-from per-key ones by the relative shift ("skew") of Music Transformer
-(T.skew, T.unskew) in batch, and by reversing them in the stream. It reads
-a module's weights through fold, which takes their fixed products once:
-per batch pass, or once per streaming session.
+key and value projections. The softmax runs per age, over at most band
+columns: the kernel moves the key products to per-age columns, and the
+weights back to per-key ones, by the relative shift ("skew") of Music
+Transformer (T.unskew, T.skew) in batch, and by reversing them in the
+stream. It reads a module's weights through fold, which takes their fixed
+products once: per batch pass, or once per streaming session.
 """
 
 from __future__ import annotations
@@ -129,12 +130,12 @@ def fold(params: MotionModuleParams) -> FoldedWeights:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_mask(nq: int, nk: int, band: int):
-    """The additive band mask for nq queries at key positions nk-nq..nk-1,
-    or None if every key is visible to every query."""
-    age = np.arange(nk - nq, nk)[:, None] - np.arange(nk)
-    visible = (age >= 0) & (age < band)
-    return None if visible.all() else np.where(visible, 0.0, -1e30)
+def _age_mask(nq: int, nk: int, ages: int):
+    """The additive mask of ages 0..ages-1 for nq queries at key positions
+    nk-nq..nk-1: -1e30 where an age reaches before the first key, or None
+    if no age does."""
+    before = np.arange(ages) > np.arange(nk - nq, nk)[:, None]
+    return np.where(before, -1e30, 0.0) if before.any() else None
 
 
 def _attend(query: Tensor, keys: Tensor, band: int,
@@ -148,23 +149,25 @@ def _attend(query: Tensor, keys: Tensor, band: int,
     (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
     the context is (sum_j a_j x_j + sum_j a_j pe[age_j]) Wv + bv, so no
     latent is projected to K or V. The folded weights give q Wk^T and its
-    product with every pe row in one map, and Wv Wo in one. Returns
-    [S, Nq, C] before the residual.
+    product with every pe row in one map, and Wv Wo in one. The softmax
+    runs per age, over [S, Nq, min(band, Nk)], so the position scores add
+    as they are and keys outside the band never enter; ages before the
+    first key are masked. Returns [S, Nq, C] before the residual.
     """
     (_, nq, channels), nk = query.shape, keys.shape[1]
-    ages, mask = min(band, nk), _band_mask(nq, nk, band)
+    ages = min(band, nk)
     qm = T.linear(query, weights.qk, weights.qk_bias)  # [S, Nq, C+c]
-    pos = qm[..., channels + ages - 1:channels - 1:-1] if nq == 1 else \
-        T.skew(qm[..., channels:channels + ages])
-    scores = T.add(T.bmm(qm[..., :channels], T.transpose(keys, (0, 2, 1))),
-                   pos)                                # [S, Nq, Nk]
+    dot = T.bmm(qm[..., :channels], T.transpose(keys, (0, 2, 1)))
+    dot = dot[..., ::-1] if nq == 1 else T.unskew(dot, ages)
+    scores = T.add(dot, qm[..., channels:channels + ages])  # [S, Nq, ages]
+    mask = _age_mask(nq, nk, ages)
     if mask is not None:
         scores = T.add(scores, mask)
-    attn = T.softmax_rows(scores)
+    per_age = T.softmax_rows(scores)
+    attn = per_age[..., ::-1] if nq == 1 else T.skew(per_age)  # [S, Nq, Nk]
     pe = weights.pe_table if ages == weights.pe_table.shape[0] else \
         weights.pe_table[:ages]
-    # attention weight per age [S, Nq, ages] times pe, plus attn . x
-    per_age = attn[..., ::-1] if nq == 1 else T.unskew(attn, ages)
+    # attention weight per age times pe, plus attn . x
     ctx = T.linear(per_age, pe, T.bmm(attn, keys))
     return T.linear(ctx, weights.vo, weights.vo_bias)
 
@@ -189,11 +192,11 @@ def attend_batch_masked(seq: Tensor, band: int,
                         weights: FoldedWeights) -> Tensor:
     """Banded masked attention over an [N, S, C] sequence: the stream's
     kernel with every frame as a query, key k visible to query q iff
-    0 <= q - k < band (ValueError if band < 1)."""
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
+    0 <= q - k < band (ValueError unless 1 <= band <= context)."""
+    context = weights.pe_table.shape[0]
+    if not 1 <= band <= context:
+        raise ValueError(f"band must be in 1..{context}, got {band}")
     tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
-    band = min(band, weights.pe_table.shape[0])
     return T.transpose(_attend(tokens, tokens, band, weights), (1, 0, 2))
 
 

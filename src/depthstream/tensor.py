@@ -289,18 +289,28 @@ def bmm(a, b) -> Tensor:
     return _finish(out, (a, b), back)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), bit for bit: numpy reduces a short
+    last axis row by row, so reduce a transposed copy's leading axis."""
+    rows = a.reshape(-1, a.shape[-1]).T.copy()
+    return np.maximum.reduce(rows).reshape(a.shape[:-1] + (1,))
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True) as one product with a ones column."""
+    return a @ np.ones((a.shape[-1], 1), dtype=a.dtype)
+
+
 def softmax_rows(x) -> Tensor:
     """Row-stabilized softmax over the last axis; rows sum to 1."""
     x = _as_tensor(x)
     if x.data.size == 0:
         return _finish(x.data.copy(), (x,), lambda g: (g.copy(),))
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x.data - _row_max(x.data))
+    out = e / _row_sum(e)
 
     def back(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (out * (g - _row_sum(g * out)),)
 
     return _finish(out, (x,), back)
 
@@ -313,7 +323,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty axis")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
     # the same sums as x.var, bit for bit, without centring x twice
     var = np.square(xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
@@ -323,8 +333,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     def back(g):
         gg = g * gain.data if x.requires_grad else None
         dx = None if gg is None else inv / d * (
-            d * gg - gg.sum(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).sum(axis=-1, keepdims=True))
+            d * gg - _row_sum(gg) - xhat * _row_sum(gg * xhat))
         return (dx,
                 _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
                 _unbroadcast(g, bias.shape) if bias.requires_grad else None)

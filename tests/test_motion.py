@@ -88,13 +88,28 @@ class TestAttendStreaming:
 
 
 class TestAttendBatchMasked:
-    def test_every_frame_matches_dense_oracle(self):
+    @pytest.mark.parametrize("n, band", [(1, 4), (3, 4), (7, 3), (9, 4)])
+    def test_every_frame_matches_dense_oracle(self, n, band):
+        # fewer frames than the band, as many, and more
         params = make_params(channels=8, context=4, seed=21)
-        seq = rand_latents(7, 4, 8, seed=22)
-        got = attend_batch_masked(Tensor(seq), 3, fold(params)).data
+        seq = rand_latents(n, 4, 8, seed=22)
+        got = attend_batch_masked(Tensor(seq), band, fold(params)).data
         np.testing.assert_allclose(got, dense_attention_oracle(seq, params,
-                                                               band=3),
+                                                               band=band),
                                    atol=1e-5)
+
+    def test_softmax_runs_over_ages_not_keys(self, monkeypatch):
+        # 9 frames under band 3: a row holds the 3 ages, not the 9 keys
+        softmax, shapes = T.softmax_rows, []
+
+        def record(x):
+            shapes.append(x.shape)
+            return softmax(x)
+
+        monkeypatch.setattr(T, "softmax_rows", record)
+        attend_batch_masked(Tensor(rand_latents(9, 4, 8, seed=33)), 3,
+                            fold(make_params()))
+        assert shapes == [(4, 9, 3)]
 
     def test_single_frame_equals_streaming(self):
         params = make_params()
@@ -105,11 +120,18 @@ class TestAttendBatchMasked:
                                    atol=1e-7)
 
     def test_wide_band_is_plain_causal(self):
+        # a band wider than the position table raises, as an oversized
+        # stream window does; band = table rows over fewer frames sees
+        # every earlier frame
         params = make_params(context=8)
         seq = rand_latents(5, 4, 8, seed=10)
-        wide = attend_batch_masked(Tensor(seq), 10 ** 6, fold(params)).data
-        exact = attend_batch_masked(Tensor(seq), 8, fold(params)).data
-        np.testing.assert_allclose(wide, exact, atol=1e-7)
+        for band in (9, 10 ** 6):
+            with pytest.raises(ValueError, match="band"):
+                attend_batch_masked(Tensor(seq), band, fold(params))
+        wide = attend_batch_masked(Tensor(seq), 8, fold(params)).data
+        np.testing.assert_allclose(wide, dense_attention_oracle(seq, params,
+                                                                band=5),
+                                   atol=1e-5)
 
     @pytest.mark.parametrize("band", [0, -2])
     def test_band_below_one_rejected(self, band):

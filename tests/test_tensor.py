@@ -71,6 +71,49 @@ class TestSoftmax:
         out = T.softmax_rows(Tensor(np.zeros((0, 4))))
         assert out.data.shape == (0, 4)
 
+    def test_gradcheck_with_masked_entries(self):
+        # -1e30 entries, as the attention kernel's age mask adds them
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        mask = np.where(np.arange(4) > np.arange(3)[:, None], -1e30, 0.0)
+        w = rng.normal(size=(2, 3, 4))
+        rep = gradcheck(
+            lambda: T.sum_(T.mul(T.softmax_rows(T.add(x, mask)), w)), [x])
+        assert rep["passed"], rep
+
+
+ROW_SHAPES = [(16, 1, 1), (16, 1, 5), (16, 48, 16), (3, 7, 5)]
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    def test_row_max_is_numpy_max(self, dtype, shape):
+        a = np.random.default_rng(5).normal(size=shape).astype(dtype)
+        out = T._row_max(a)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, np.max(a, axis=-1, keepdims=True))
+
+    def test_row_max_propagates_nan(self):
+        a = np.random.default_rng(6).normal(size=(3, 7, 5))
+        a[1, 2, 3] = np.nan
+        out = T._row_max(a)
+        assert np.isnan(out[1, 2, 0]) and np.isnan(out).sum() == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ROW_SHAPES)
+    def test_row_sum_matches_numpy_sum(self, dtype, shape):
+        rng = np.random.default_rng(8)
+        positive = rng.uniform(0.5, 1.5, shape).astype(dtype)
+        out = T._row_sum(positive)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, positive.sum(-1, keepdims=True),
+                                   rtol=1e-6)
+        # signed rows: the error is relative to the sum of magnitudes
+        signed = rng.normal(size=shape).astype(dtype)
+        err = np.abs(T._row_sum(signed) - signed.sum(-1, keepdims=True))
+        assert (err <= 1e-6 * np.abs(signed).sum(-1, keepdims=True)).all()
+
 
 class TestLayerNorm:
     def test_constant_vector_maps_to_zero(self):
