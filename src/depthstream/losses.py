@@ -82,9 +82,8 @@ def _solve_scale_shift(products, m: np.ndarray, axis=None):
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
-    m = np.asarray(mask, dtype=np.float32)
-    n = max(float(m.sum()), 1.0)
-    return T.mul(T.sum_(T.mul(T.abs_(diff), m)), 1.0 / n)
+    m = np.asarray(mask, dtype=T._dtype)
+    return T.weighted_abs_sum(diff, m * T._dtype(1.0 / max(m.sum(), 1.0)))
 
 
 def _scene_aligned(p: Tensor, m: np.ndarray, products) -> Tensor:
@@ -115,10 +114,8 @@ def temporal_gradient_error(aligned_pred, gt, masks) -> Tensor:
     m = np.asarray(masks, dtype=bool)
     if p.shape[0] < 2:
         raise ValueError("temporal gradients need >= 2 frames")
-    dp = T.sub(p[slice(1, None)], p[slice(0, -1)])
-    dg = gt[1:] - gt[:-1]
     joint = m[1:] & m[:-1]
-    return _masked_mae(T.sub(dp, dg), joint)
+    return _masked_mae(T.sub(T.diff0(p), gt[1:] - gt[:-1]), joint)
 
 
 def loss_tgm(pred, gt, masks) -> Tensor:
@@ -140,7 +137,7 @@ def _sascon(p: Tensor, m: np.ndarray, products) -> Tensor:
     gap = T.add(T.mul(p, T.sub(s[0], s)), T.sub(t[0], t))
     # in the working precision, so a float64 gradcheck weighs in float64
     weight = np.divide(m, n * m.shape[0], dtype=T._dtype)
-    return T.sum_(T.mul(T.abs_(gap), weight))
+    return T.weighted_abs_sum(gap, weight)
 
 
 def _weighted_losses(pred, gt, masks, weights: LossWeights):
@@ -175,7 +172,7 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     frame. Every unfinished frame draws _RECT_CHUNK rectangles at a time."""
     if cfg.max_fraction > 1:
         raise ValueError(f"max_fraction {cfg.max_fraction} > 1 is unreachable")
-    out = np.array(rgb_seq, copy=True)
+    out = np.array(rgb_seq, copy=True, order="C")
     if not cfg.enabled or cfg.max_fraction <= 0:
         return out
     n, h, w = out.shape[:3]
@@ -186,6 +183,7 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
     goal = rng.uniform(0.0, cfg.max_fraction, n) * total
     mask = np.zeros((n, total), dtype=bool)
+    label = np.empty(n * total, dtype=np.intp)  # first covering rectangle
     live = np.flatnonzero(goal > 0)
     while live.size:
         rh = rng.integers(1, rh_end, (live.size, _RECT_CHUNK))
@@ -199,8 +197,10 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
         ids = ((live[:, None] * h + y) * w + x).ravel()[rect] + row * w + col
         # an uncovered pixel counts for the first rectangle covering it
         fresh = ~mask.ravel()[ids]
-        _, first = np.unique(ids[fresh], return_index=True)
-        gain = np.bincount(rect[fresh][first],
+        ids_f, rect_f = ids[fresh], rect[fresh]
+        label[ids_f] = area.size
+        np.minimum.at(label, ids_f, rect_f)
+        gain = np.bincount(rect_f[label[ids_f] == rect_f],
                            minlength=area.size).reshape(rh.shape)
         union = mask[live].sum(axis=1, keepdims=True) + gain.cumsum(axis=1)
         # a frame stops at its first rectangle that crosses the budget
@@ -210,7 +210,8 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
         accepted = ~over & (np.cumsum(done, axis=1) == done)
         mask.ravel()[ids[accepted.ravel()[rect]]] = True
         live = live[~done.any(axis=1)]
-    out[mask.reshape(n, h, w)] = 0.0
+    # one flat write: each pixel's mask entry repeated over its channels
+    out.reshape(-1)[np.repeat(mask.ravel(), out.size // mask.size)] = 0
     return out
 
 
@@ -243,11 +244,9 @@ def train_step(model: DepthModel, batch, weights: LossWeights,
         if not np.isfinite(loss.data).all():
             raise T.NonFiniteError(f"non-finite loss at step {step}: {logs}")
         tape.backward(loss)
-    if lr != 0:
-        for _, p in model.head_parameters():
-            if p.grad is not None:
-                p.data = (p.data - lr * p.grad).astype(p.data.dtype)
     for _, p in model.head_parameters():
+        if lr != 0 and p.grad is not None:
+            p.data = (p.data - lr * p.grad).astype(p.data.dtype)
         p.grad = None
     record = {"step": step, "lr": lr, "loss": loss.item()}
     for name in ("ssi", "tgm", "sascon"):

@@ -85,7 +85,7 @@ class EncoderStub:
             raise ValueError(f"expected [N, {cfg.height}, {cfg.width}, 3], "
                              f"got {rgb_seq.shape}")
         n = len(rgb_seq)
-        patches = rgb_seq.astype(np.float32).reshape(
+        patches = rgb_seq.astype(np.float32, copy=False).reshape(
             n, cfg.height // p, p, cfg.width // p, p, 3)
         patches = patches.transpose(0, 1, 3, 2, 4, 5).reshape(
             n, cfg.tokens, 3 * p * p)

@@ -8,11 +8,12 @@ outputs agree frame for frame. Latents enter the cache after layer norm but
 before positional encoding; ages are window-relative (age 0 = current frame)
 and fold into the scores and context, as the encoding is added before the
 key and value projections. The softmax runs per age, over at most band
-columns: the kernel moves the key products to per-age columns, and the
-weights back to per-key ones, by the relative shift ("skew") of Music
-Transformer (T.unskew, T.skew) in batch, and by reversing them in the
-stream. It reads a module's weights through fold, which takes their fixed
-products once: per batch pass, or once per streaming session.
+columns. In batch the kernel moves the key products to per-age columns,
+and the weights back to per-key ones, by the relative shift ("skew") of
+Music Transformer (T.unskew, T.skew); the stream hands it the window
+newest first, so there a key's column is its age. It reads a module's
+weights through fold, which takes their fixed products once: per batch
+pass, or once per streaming session.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ def _age_mask(nq: int, nk: int, ages: int):
 
 def _attend(query: Tensor, keys: Tensor, band: int,
             weights: FoldedWeights) -> Tensor:
-    """The attention kernel of both modes: query [S, Nq, C] holds the
-    latents at positions Nk-Nq..Nk-1 of keys [S, Nk, C] (post layer-norm,
-    no PE): all of them (batch) or the newest (stream, Nq = 1). Key j is
-    visible at position p iff its age p - j is < band.
+    """The attention kernel of both modes, on latents post layer-norm
+    with no PE. Batch: query [S, N, C] holds every key of keys [S, N, C],
+    oldest first, and key j is visible at position p iff its age p - j is
+    < band. Stream (Nq = 1): query is the newest latent, and keys hold the
+    window newest first, so key j has age j.
 
     With k_j = (x_j + pe[age_j]) Wk + bk, a score is (q Wk^T).x_j +
     (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
@@ -158,13 +160,14 @@ def _attend(query: Tensor, keys: Tensor, band: int,
     ages = min(band, nk)
     qm = T.linear(query, weights.qk, weights.qk_bias)  # [S, Nq, C+c]
     dot = T.bmm(qm[..., :channels], T.transpose(keys, (0, 2, 1)))
-    dot = dot[..., ::-1] if nq == 1 else T.unskew(dot, ages)
+    if nq > 1:
+        dot = T.unskew(dot, ages)
     scores = T.add(dot, qm[..., channels:channels + ages])  # [S, Nq, ages]
     mask = _age_mask(nq, nk, ages)
     if mask is not None:
         scores = T.add(scores, mask)
     per_age = T.softmax_rows(scores)
-    attn = per_age[..., ::-1] if nq == 1 else T.skew(per_age)  # [S, Nq, Nk]
+    attn = per_age if nq == 1 else T.skew(per_age)  # [S, Nq, Nk]
     pe = weights.pe_table if ages == weights.pe_table.shape[0] else \
         weights.pe_table[:ages]
     # attention weight per age times pe, plus attn . x
@@ -184,8 +187,9 @@ def attend_streaming(current: Tensor, window, weights: FoldedWeights):
         raise ValueError("empty attention window")
     if w > context:
         raise ValueError(f"window {w} exceeds context {context}")
-    return _attend(current, T.constant(window.transpose(1, 0, 2)), context,
-                   weights)
+    # newest first, a view: the stream's key products are then per age
+    return _attend(current, T.constant(window[::-1].transpose(1, 0, 2)),
+                   context, weights)
 
 
 def attend_batch_masked(seq: Tensor, band: int,

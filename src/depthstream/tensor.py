@@ -5,7 +5,9 @@ default). Operations are module functions (T.add, T.linear, ...); a Tensor
 overloads no operator except indexing. Each op records its backward rule
 onto the active Tape, and a backward computes no gradient for an input that
 requires none; with no tape active an op is a plain numpy computation whose
-result requires no gradient. T.skew and T.unskew are the relative shift.
+result requires no gradient; Tape.backward sets .grad on leaves only.
+T.skew and T.unskew are the relative shift; T.weighted_abs_sum (masked
+L1) and T.diff0 (frame difference) serve the losses.
 Ops do not check finiteness. NonFiniteError is raised where a NaN or Inf
 would persist or leave: a cache-bank write, a model output, the loss.
 Gradient checking runs the same code in float64, out of float32's noise.
@@ -127,23 +129,35 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor):
-        """Populate .grad on every requires_grad tensor reachable from loss."""
+        """Set .grad only on leaves reachable from loss that require it (no
+        recorded op produced them), as PyTorch does without retain_grad. A
+        gradient is dropped once its producer's backward has run. Sums run
+        in place only into arrays the tape allocated, as a backward may
+        hand one array to two operands or return a read-only view."""
         if loss.data.size != 1:
             raise ShapeError("backward expects a scalar loss")
         if not np.isfinite(loss.data).all():
             raise NonFiniteError("loss is not finite")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()
         for out, inputs, back in reversed(self._nodes):
-            g_out = grads.get(id(out))
+            g_out = grads.pop(id(out), None)
             if g_out is None:
                 continue
             for inp, g in zip(inputs, back(g_out)):
                 if g is None:
                     continue
-                acc = grads.get(id(inp))
-                grads[id(inp)] = g if acc is None else acc + g
-        for out, inputs, _ in self._nodes:
-            for t in (out, *inputs):
+                key = id(inp)
+                acc = grads.get(key)
+                if acc is None:
+                    grads[key] = g
+                elif key in owned:
+                    acc += g
+                else:
+                    grads[key] = acc + g
+                    owned.add(key)
+        for _, inputs, _ in self._nodes:
+            for t in inputs:
                 if t.requires_grad and id(t) in grads:
                     t.grad = grads[id(t)]
 
@@ -252,6 +266,22 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape),)
 
     return _finish(np.atleast_1d(out), (a,), back)
+
+
+def weighted_abs_sum(x, w: np.ndarray) -> Tensor:
+    """sum(|x| * w) for a constant w >= 0 of x's shape, as one dot with
+    copysign(w, x), which is also the backward's gradient."""
+    x = _as_tensor(x)
+    sw = np.copysign(w, x.data, dtype=x.data.dtype)
+    return _finish(np.atleast_1d(np.vdot(sw, x.data)), (x,),
+                   lambda g: (g * sw,))
+
+
+def diff0(x) -> Tensor:
+    """x[1:] - x[:-1] along the first axis."""
+    x = _as_tensor(x)
+    return _finish(x.data[1:] - x.data[:-1], (x,), lambda g: (
+        np.concatenate([-g[:1], g[:-1] - g[1:], g[-1:]]),))
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from depthstream import tensor as T
 from depthstream.tensor import (NonFiniteError, ShapeError, Tape, Tensor,
-                                gradcheck)
+                                gradcheck, working_dtype)
 
 
 class TestMatmul:
@@ -224,6 +224,31 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, expected)
 
 
+    def test_intermediate_grad_stays_none(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        with Tape() as tape:
+            y = T.mul(x, 3.0)
+            tape.backward(T.sum_(y))
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, np.full(4, 3.0))
+
+    def test_shared_and_read_only_gradients_are_not_written(self):
+        # add hands one array to both operands, and sum_ a read-only view:
+        # a's later contributions must not land in b's gradient or the view
+        rng = np.random.default_rng(3)
+        u, v, w = (rng.normal(size=(2, 3)) for _ in range(3))
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with working_dtype(np.float64), Tape() as tape:
+            uses = [T.sum_(a), T.sum_(T.mul(a, u)), T.sum_(T.mul(a, v))]
+            loss = T.sum_(T.mul(T.add(a, b), w))
+            for use in uses:
+                loss = T.add(loss, use)
+            tape.backward(loss)
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_allclose(a.grad, w + v + u + 1.0, rtol=1e-12)
+
+
 class TestTapeRecording:
     def test_tape_records_only_what_needs_grad(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -406,3 +431,47 @@ class TestConstantOperands:
                 not t.requires_grad for t in ts]
             for t, g in zip(ts, grads):
                 assert g is None or g.shape == t.shape
+
+
+class TestWeightedAbsSum:
+    def _x_and_w(self, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 4, 5)).astype(dtype)
+        w = rng.uniform(0, 2, x.shape).astype(dtype)
+        w[:, 0] = 0
+        return x, w
+
+    def test_gradcheck_with_zero_weights(self):
+        x, w = self._x_and_w(np.float64)
+        x = Tensor(x, requires_grad=True)
+        rep = gradcheck(lambda: T.weighted_abs_sum(x, w), [x])
+        assert rep["passed"], rep
+
+    def test_matches_abs_mul_sum(self):
+        x, w = self._x_and_w(np.float32)
+        outs, grads = [], []
+        for f in (T.weighted_abs_sum,
+                  lambda t, w: T.sum_(T.mul(T.abs_(t), w))):
+            t = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                outs.append(f(t, w))
+                tape.backward(outs[-1])
+            grads.append(t.grad)
+        assert outs[0].shape == (1,) and outs[0].data.dtype == np.float32
+        np.testing.assert_allclose(outs[0].data, outs[1].data, rtol=1e-6)
+        np.testing.assert_array_equal(*grads)
+
+
+class TestDiff0:
+    def test_gradcheck(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+        wts = rng.normal(size=(3, 2, 3))
+        rep = gradcheck(lambda: T.sum_(T.mul(T.diff0(x), wts)), [x])
+        assert rep["passed"], rep
+
+    @pytest.mark.parametrize("frames", [2, 5])
+    def test_equals_the_slice_difference(self, frames):
+        x = np.random.default_rng(frames).normal(size=(frames, 3, 2)).astype(
+            np.float32)
+        np.testing.assert_array_equal(T.diff0(x).data, x[1:] - x[:-1])
