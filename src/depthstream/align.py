@@ -1,10 +1,11 @@
 """Affine alignment, depth metrics, evaluation protocols, scale drift.
 
-Everything here is pure numpy over immutable inputs. Alignment operates in
-the model's inverse-depth space; metrics convert to depth via clamped
-inversion before comparing against ground truth. The evaluation entry
-points take one sequence as three [N, H, W] arrays: predicted inverse
-depth, ground-truth depth and validity.
+The one closed-form scale/shift fit lives here: training learns through
+solve_scale_shift on the tape, and evaluation runs it in float64 on the
+gathered valid pixels. Alignment operates in inverse-depth space; metrics
+convert to depth via clamped inversion. The evaluation entry points take
+one sequence as three [N, H, W] arrays: predicted inverse depth,
+ground-truth depth and validity.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
+
 __all__ = [
-    "AffineAlign", "EvalReport", "DriftCurve",
-    "DegenerateAlignment", "least_squares_align", "apply_align",
-    "absrel", "delta1", "invert_disparity", "eval_first_frame",
-    "eval_global", "scale_drift_curve",
+    "AffineAlign", "EvalReport", "DriftCurve", "DegenerateAlignment",
+    "fit_products", "solve_scale_shift", "least_squares_align",
+    "apply_align", "absrel", "delta1", "invert_disparity",
+    "eval_first_frame", "eval_global", "scale_drift_curve",
     "DEPTH_CLIP", "DELTA1_THRESHOLD",
 ]
 
@@ -47,24 +50,51 @@ def _masked(a, b, mask):
     return a[m], b[m]
 
 
-def least_squares_align(pred, gt, mask=None) -> AffineAlign:
-    """Closed-form (scale, shift) minimizing sum((s*p + t - g)^2).
+def fit_products(pred, gt, masks):
+    """pred as a Tensor, gt and the mask in the working precision, and the
+    full-resolution products every least-squares fit of pred against gt
+    sums: pred·m, pred²·m, pred·gt·m (taped) and gt·m."""
+    p = T._as_tensor(pred)
+    gt = np.asarray(gt, dtype=T._dtype)
+    m = np.asarray(masks, dtype=bool).astype(T._dtype)
+    pm = T.mul(p, m)
+    return p, gt, m, (pm, T.mul(pm, p), T.mul(pm, gt), gt * m)
 
-    Falls back to a pure shift (s=1) when the prediction has no variance.
-    """
+
+def solve_scale_shift(products, m: np.ndarray, axis=None):
+    """Differentiable least-squares (s, t) and valid-pixel counts n from
+    fit_products' products summed over axis: pooled (None) or per frame
+    ((1, 2)). All three keep the reduced axes, so they broadcast on pred."""
+    n = m.sum(axis=axis, keepdims=True)
+    if (n < 2).any():
+        raise DegenerateAlignment("need >= 2 valid pixels for the fit")
+    sp, spp, spg = (T.sum_(x, axis, keepdims=True) for x in products[:3])
+    sg = products[3].sum(axis=axis, keepdims=True)
+    det = T.sub(T.mul(spp, n), T.mul(sp, sp))
+    if (np.abs(det.data) / (n * n) < 1e-12).any():
+        raise DegenerateAlignment("prediction variance too small to fit")
+    s = T.div(T.sub(T.mul(spg, n), T.mul(sp, sg)), det)
+    t = T.div(T.sub(T.mul(spp, sg), T.mul(sp, spg)), det)
+    return s, t, n
+
+
+def least_squares_align(pred, gt, mask=None) -> AffineAlign:
+    """Closed-form (scale, shift) minimizing sum((s*p + t - g)^2) over the
+    valid pixels, by solve_scale_shift in float64. Falls back to a pure
+    shift (s=1) when the prediction has no variance."""
     p, g = _masked(pred, gt, mask)
-    n = p.size
-    if n < 2:
-        raise DegenerateAlignment(f"need >= 2 valid pixels, got {n}")
-    sp, sg = p.sum(), g.sum()
-    spp, spg = (p * p).sum(), (p * g).sum()
-    var = spp / n - (sp / n) ** 2
-    if var < 1e-12:
-        return AffineAlign(1.0, float(g.mean() - p.mean()), degenerate=True)
-    det = n * spp - sp * sp
-    s = (n * spg - sp * sg) / det
-    t = (spp * sg - sp * spg) / det
-    return AffineAlign(float(s), float(t))
+    if p.size < 2:
+        raise DegenerateAlignment(f"need >= 2 valid pixels, got {p.size}")
+    if not (np.isfinite(p).all() and np.isfinite(g).all()):
+        raise ValueError("pred and gt must be finite on valid pixels")
+    with T.working_dtype(np.float64):
+        _, _, m, products = fit_products(p, g, np.ones(p.size, dtype=bool))
+        try:
+            s, t, _ = solve_scale_shift(products, m)
+        except DegenerateAlignment:
+            return AffineAlign(1.0, float(g.mean() - p.mean()),
+                               degenerate=True)
+    return AffineAlign(s.item(), t.item())
 
 
 def apply_align(pred, align: AffineAlign):
@@ -156,6 +186,8 @@ def eval_first_frame(pred, depth, valid) -> EvalReport:
 def eval_global(pred, depth, valid, horizon: int | None = None) -> EvalReport:
     """One joint (s, t) over all valid pixels within the horizon
     (None = all frames); metrics over the same horizon."""
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be >= 1 or None, got {horizon}")
     pred, depth, valid = _sequence(pred, depth, valid)
     pred, depth, valid = pred[:horizon], depth[:horizon], valid[:horizon]
     align = least_squares_align(pred, _gt_inverse(depth), valid)
@@ -203,6 +235,8 @@ def scale_drift_curve(sequences, window: int = 4) -> DriftCurve:
         # |s0| in the denominator keeps drift non-negative even when the
         # reference fit lands on a negative scale
         per_seq.append(np.abs(s[0] - s) / np.abs(s[0]))
+    if not per_seq:
+        raise ValueError("no sequences")
     max_len = max(len(d) for d in per_seq)
     raw = np.zeros(max_len)
     support = np.zeros(max_len, dtype=int)

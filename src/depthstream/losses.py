@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .align import DegenerateAlignment, eval_first_frame
+from .align import eval_first_frame, fit_products, solve_scale_shift
 from .model import DepthModel
 from .tensor import Tape, Tensor
 
@@ -53,106 +53,61 @@ class TrainConfig:
     seed: int = 0
 
 
-def _fit_terms(pred, gt, masks):
-    """pred as a Tensor, gt and the mask as float32, and the full-resolution
-    products every least-squares fit of pred against gt sums: pred·m,
-    pred²·m, pred·gt·m (taped) and gt·m."""
-    p = T._as_tensor(pred)
-    gt = np.asarray(gt, dtype=np.float32)
-    m = np.asarray(masks, dtype=bool).astype(np.float32)
-    pm = T.mul(p, m)
-    return p, gt, m, (pm, T.mul(pm, p), T.mul(pm, gt), gt * m)
-
-
-def _solve_scale_shift(products, m: np.ndarray, axis=None):
-    """Differentiable least-squares (s, t) and valid-pixel counts n from
-    _fit_terms' products summed over axis: pooled (None) or per frame
-    ((1, 2)). All three keep the reduced axes, so they broadcast on pred."""
-    n = m.sum(axis=axis, keepdims=True)
-    if (n < 2).any():
-        raise DegenerateAlignment("need >= 2 valid pixels for the fit")
-    sp, spp, spg = (T.sum_(x, axis, keepdims=True) for x in products[:3])
-    sg = products[3].sum(axis=axis, keepdims=True)
-    det = T.sub(T.mul(spp, n), T.mul(sp, sp))
-    if (np.abs(det.data) / (n * n) < 1e-12).any():
-        raise DegenerateAlignment("prediction variance too small to fit")
-    s = T.div(T.sub(T.mul(spg, n), T.mul(sp, sg)), det)
-    t = T.div(T.sub(T.mul(spp, sg), T.mul(sp, spg)), det)
-    return s, t, n
-
-
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
     m = np.asarray(mask, dtype=T._dtype)
     return T.weighted_abs_sum(diff, m * T._dtype(1.0 / max(m.sum(), 1.0)))
 
 
-def _scene_aligned(p: Tensor, m: np.ndarray, products) -> Tensor:
-    s, t, _ = _solve_scale_shift(products, m)
-    return T.add(T.mul(p, s), t)
-
-
-def scene_align(pred, gt, masks) -> Tensor:
-    """The prediction aligned by ONE scale/shift fit pooled over the whole
-    sequence. The training loss aligns once, and SSI and TGM read it."""
-    p, _, m, products = _fit_terms(pred, gt, masks)
-    return _scene_aligned(p, m, products)
-
-
 def loss_ssi_scene(pred, gt, masks) -> Tensor:
     """Scale-and-shift-invariant loss: mean absolute error of the
     scene-aligned prediction."""
-    gt = np.asarray(gt, dtype=np.float32)
-    m = np.asarray(masks, dtype=bool)
-    return _masked_mae(T.sub(scene_align(pred, gt, m), gt), m)
+    return _weighted_losses(pred, gt, masks, LossWeights(1, 0, 0))[1]["ssi"]
 
 
 def temporal_gradient_error(aligned_pred, gt, masks) -> Tensor:
     """Mean |(d_t - d_{t-1}) - (g_t - g_{t-1})| over jointly valid pixels
     of consecutive frames. Input is already aligned."""
     p = T._as_tensor(aligned_pred)
-    gt = np.asarray(gt, dtype=np.float32)
+    gt = np.asarray(gt, dtype=T._dtype)
     m = np.asarray(masks, dtype=bool)
     if p.shape[0] < 2:
         raise ValueError("temporal gradients need >= 2 frames")
-    joint = m[1:] & m[:-1]
-    return _masked_mae(T.sub(T.diff0(p), gt[1:] - gt[:-1]), joint)
+    return _masked_mae(T.sub(T.diff0(p), gt[1:] - gt[:-1]), m[1:] & m[:-1])
 
 
 def loss_tgm(pred, gt, masks) -> Tensor:
     """Temporal gradient matching after scene-level alignment."""
-    return temporal_gradient_error(scene_align(pred, gt, masks), gt, masks)
+    return _weighted_losses(pred, gt, masks, LossWeights(0, 1, 0))[1]["tgm"]
 
 
 def loss_sascon(pred, gt, masks) -> Tensor:
     """Scale-and-shift consistency: per frame, L1 between the frame aligned
     with frame 0's fit and the frame aligned with its own fit; mean over
     each frame's valid pixels, then over frames."""
-    p, _, m, products = _fit_terms(pred, gt, masks)
-    return _sascon(p, m, products)
-
-
-def _sascon(p: Tensor, m: np.ndarray, products) -> Tensor:
-    s, t, n = _solve_scale_shift(products, m, axis=(1, 2))
-    # (p*s0 + t0) - (p*s + t), with every frame's fit in one op
-    gap = T.add(T.mul(p, T.sub(s[0], s)), T.sub(t[0], t))
-    # in the working precision, so a float64 gradcheck weighs in float64
-    weight = np.divide(m, n * m.shape[0], dtype=T._dtype)
-    return T.weighted_abs_sum(gap, weight)
+    return _weighted_losses(pred, gt, masks,
+                            LossWeights(0, 0, 1))[1]["sascon"]
 
 
 def _weighted_losses(pred, gt, masks, weights: LossWeights):
     """The weighted total and every term it ran; a zero beta or gamma
-    skips its term. The fits' products are built once, and SSI and TGM
-    read one scene-aligned prediction."""
-    p, gt, m, products = _fit_terms(pred, gt, masks)
-    aligned = _scene_aligned(p, m, products)
+    skips its term. train_step and the three standalone losses all run
+    this. The fits' products are built once, and SSI and TGM read one
+    scene-aligned prediction."""
+    p, gt, m, products = fit_products(pred, gt, masks)
+    s, t, _ = solve_scale_shift(products, m)
+    aligned = T.add(T.mul(p, s), t)
     terms = {"ssi": _masked_mae(T.sub(aligned, gt), m)}
     total = T.mul(terms["ssi"], weights.alpha)
     if weights.beta != 0:
         terms["tgm"] = temporal_gradient_error(aligned, gt, m)
         total = T.add(total, T.mul(terms["tgm"], weights.beta))
     if weights.gamma != 0:
-        terms["sascon"] = _sascon(p, m, products)
+        fs, ft, n = solve_scale_shift(products, m, axis=(1, 2))
+        # (p*s0 + t0) - (p*s + t), with every frame's fit in one op
+        gap = T.add(T.mul(p, T.sub(fs[0], fs)), T.sub(ft[0], ft))
+        # in the working precision, so a float64 gradcheck weighs in float64
+        terms["sascon"] = T.weighted_abs_sum(
+            gap, np.divide(m, n * m.shape[0], dtype=T._dtype))
         total = T.add(total, T.mul(terms["sascon"], weights.gamma))
     return total, terms
 

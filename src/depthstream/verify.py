@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import align, tensor as T
 from .align import AffineAlign, least_squares_align
 from .losses import loss_sascon, loss_ssi_scene, loss_tgm
 from .model import DepthModel, ModelConfig
@@ -75,25 +76,39 @@ def brute_force_align(pred, gt, iters: int = 200) -> AffineAlign:
     return AffineAlign(s, t)
 
 
+def _residual_gap(fit: AffineAlign, p, g) -> float:
+    """How far fit's squared residual is from the brute-force minimizer's."""
+    brute = brute_force_align(p, g)
+    r, rb = fit.scale * p + fit.shift - g, brute.scale * p + brute.shift - g
+    return abs(float(r @ r) - float(rb @ rb))
+
+
 def alignment_oracle_check(trials: int = 100, seed: int = 0,
                            tol: float = 1e-6) -> dict:
-    """Closed-form fit must match the brute-force minimizer's residual."""
+    """The shared closed-form fit must match the brute-force minimizer's
+    residual, pooled (least_squares_align on 50 pixels) and per frame
+    (align.solve_scale_shift over axis (1, 2) on a masked 2-frame stack,
+    in float64, against each frame's valid pixels)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    frame_rng = np.random.default_rng([seed, 1])
+    gaps = {"pooled": 0.0, "per_frame": 0.0}
     for _ in range(trials):
         p = rng.normal(0, 1, 50)
         g = rng.normal(0, 2, 50) + rng.uniform(-3, 3)
-        closed = least_squares_align(p, g)
-        brute = brute_force_align(p, g)
-
-        def residual(a):
-            r = a.scale * p + a.shift - g
-            return float(r @ r)
-
-        worst = max(worst, abs(residual(closed) - residual(brute)))
-        if residual(closed) > residual(brute) + tol:
-            return {"worst_gap": worst, "passed": False}
-    return {"worst_gap": worst, "passed": worst < tol}
+        gaps["pooled"] = max(gaps["pooled"],
+                             _residual_gap(least_squares_align(p, g), p, g))
+        p = frame_rng.normal(0, 1, (2, 5, 10))
+        g = frame_rng.normal(0, 2, p.shape) + frame_rng.uniform(-3, 3)
+        m = frame_rng.random(p.shape) > 0.2
+        with T.working_dtype(np.float64):
+            _, _, mf, products = align.fit_products(p, g, m)
+            s, t, _ = align.solve_scale_shift(products, mf, axis=(1, 2))
+        gaps["per_frame"] = max([gaps["per_frame"]] + [_residual_gap(
+            AffineAlign(s.data[f].item(), t.data[f].item()), p[f][m[f]],
+            g[f][m[f]]) for f in range(len(p))])
+    res = {k: {"worst_gap": v, "passed": v < tol} for k, v in gaps.items()}
+    return {"worst_gap": max(gaps.values()),
+            "passed": max(gaps.values()) < tol, **res}
 
 
 def loss_gradient_check(seed: int = 0, tol: float = 1e-4) -> dict:
@@ -133,7 +148,9 @@ def run_all(seed: int = 0) -> bool:
           f"{'FAIL' if res['passed'] else 'PASS'}")
     ok &= not res["passed"]
     res = alignment_oracle_check(trials=20, seed=seed)
-    print(f"alignment oracle: worst_gap={res['worst_gap']:.2e} "
+    print(f"alignment oracle: pooled worst_gap="
+          f"{res['pooled']['worst_gap']:.2e}, per-frame worst_gap="
+          f"{res['per_frame']['worst_gap']:.2e} "
           f"{'PASS' if res['passed'] else 'FAIL'}")
     ok &= res["passed"]
     res = loss_gradient_check(seed=seed)

@@ -18,6 +18,7 @@ import csv
 import numpy as np
 import pytest
 
+from depthstream import align
 from depthstream import tensor as T
 from depthstream.align import (delta1, absrel, eval_first_frame,
                                eval_global, least_squares_align,
@@ -152,8 +153,29 @@ class TestCriterion03AlignmentOracle:
             exact_ok &= (abs(fit.scale - a) < ALIGN_TOL
                          and abs(fit.shift - b) < ALIGN_TOL)
         report("03 alignment-oracle", res["passed"] and exact_ok,
-               f"100 instances, worst residual gap {res['worst_gap']:.2e}; "
+               f"100 instances, worst residual gap pooled "
+               f"{res['pooled']['worst_gap']:.2e}, per frame "
+               f"{res['per_frame']['worst_gap']:.2e}; "
                f"exact affine recovery to {ALIGN_TOL}")
+
+    @pytest.mark.parametrize("broken", [("pooled", "per_frame"), ("pooled",),
+                                        ("per_frame",)],
+                             ids=["both", "pooled", "per_frame"])
+    def test_wrong_shift_fails_the_oracle(self, monkeypatch, broken):
+        # a shift 0.01 off in the shared solver must fail the oracle in
+        # each case the fault reaches, and only there
+        real = align.solve_scale_shift
+
+        def shifted(products, m, axis=None):
+            s, t, n = real(products, m, axis)
+            case = "pooled" if axis is None else "per_frame"
+            return s, T.add(t, 0.01) if case in broken else t, n
+
+        monkeypatch.setattr(align, "solve_scale_shift", shifted)
+        res = alignment_oracle_check(trials=1, seed=0, tol=ALIGN_TOL)
+        for case in ("pooled", "per_frame"):
+            assert res[case]["passed"] == (case not in broken), res
+        assert not res["passed"]
 
 
 class TestCriterion04LossCorrectness:

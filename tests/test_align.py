@@ -53,6 +53,19 @@ class TestLeastSquaresAlign:
         assert a.scale == pytest.approx(2.0)
         assert a.shift == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", ["nan-pred", "inf-gt"])
+    def test_non_finite_valid_pixel_rejected(self, bad):
+        pred, gt = np.array([1.0, 2.0, 3.0]), np.array([3.0, 5.0, 7.0])
+        if bad == "nan-pred":
+            pred[1] = np.nan
+        else:
+            gt[1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            least_squares_align(pred, gt)
+        # an invalid pixel may hold anything
+        a = least_squares_align(pred, gt, mask=[True, False, True])
+        assert (a.scale, a.shift) == pytest.approx((2.0, 1.0))
+
     @pytest.mark.parametrize("delta", [1e-3, 1e-2])
     def test_optimality_under_perturbation(self, delta):
         rng = np.random.default_rng(1)
@@ -208,6 +221,13 @@ class TestProtocols:
         a = eval_global(pred, depth, valid, horizon=500)
         b = eval_global(pred, depth, valid, horizon=None)
         assert a.absrel == pytest.approx(b.absrel)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        rng = np.random.default_rng(7)
+        depth, valid = make_gt_sequence(rng, frames=4)
+        with pytest.raises(ValueError, match="horizon"):
+            eval_global(1.0 / depth, depth, valid, horizon=horizon)
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(8)
@@ -371,6 +391,10 @@ class TestDriftCurve:
         seq = self.setup_seq(rng, lambda i: 1.0 + 0.05 * (i % 3))
         curve = scale_drift_curve([seq], window=1)
         np.testing.assert_array_equal(curve.drift, curve.raw_drift)
+
+    def test_no_sequences_rejected(self):
+        with pytest.raises(ValueError, match="no sequences"):
+            scale_drift_curve([])
 
     def test_csv_columns(self, tmp_path):
         rng = np.random.default_rng(13)
