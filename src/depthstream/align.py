@@ -41,22 +41,24 @@ class AffineAlign:
 
 
 def _masked(a, b, mask):
-    """Both maps flattened to float64, kept where mask is true."""
+    """Both maps flattened to float64, kept where mask is true; ValueError
+    unless the maps and the mask have one size."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if mask is None:
-        return a, b
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    return a[m], b[m]
+    m = None if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
+    sizes = (a.size, b.size) + (() if m is None else (m.size,))
+    if len(set(sizes)) > 1:
+        raise ValueError(f"map and mask sizes differ: {sizes}")
+    return (a, b) if m is None else (a[m], b[m])
 
 
 def fit_products(pred, gt, masks):
-    """pred as a Tensor, gt and the mask in the working precision, and the
+    """pred as a Tensor, gt and the mask in pred's precision, and the
     full-resolution products every least-squares fit of pred against gt
     sums: pred·m, pred²·m, pred·gt·m (taped) and gt·m."""
     p = T._as_tensor(pred)
-    gt = np.asarray(gt, dtype=T._dtype)
-    m = np.asarray(masks, dtype=bool).astype(T._dtype)
+    gt = np.asarray(gt, dtype=p.data.dtype)
+    m = np.asarray(masks, dtype=bool).astype(p.data.dtype)
     pm = T.mul(p, m)
     return p, gt, m, (pm, T.mul(pm, p), T.mul(pm, gt), gt * m)
 

@@ -80,9 +80,6 @@ class CacheBank:
             return 0
         return self._entries[-1][0] - self._entries[0][0] + 1
 
-    def clear(self):
-        self._entries.clear()
-
     def memory_footprint(self) -> int:
         """Exact byte count of stored latents in the bank's precision."""
         return sum(lat.nbytes for _, lat in self._entries)

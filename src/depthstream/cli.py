@@ -97,6 +97,9 @@ def _resolve_model_flags(args, cfg: ModelConfig):
 
 
 def cmd_train(args) -> int:
+    if args.steps < 1:
+        print("error: --steps must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     given = _given_model_flags(args)
     step_offset = 0
     if args.resume:
@@ -246,6 +249,9 @@ def cmd_drift(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.frames < 1:
+        print("error: --frames must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     model = load_checkpoint(args.model)[0] if args.model else DepthModel(
         ModelConfig(seed=args.seed, **_given_model_flags(args)))
     cfg = model.cfg

@@ -47,7 +47,6 @@ class SceneSpec:
     seed: int = 0
     forward_velocity: float = 0.1  # camera travel per frame, along +z
     primitives: list = field(default_factory=lambda: [Primitive("plane", depth=20.0)])
-    noise_level: float = 0.0
     invalid_fraction: float = 0.0
 
     def validate(self, frames: int):
@@ -151,8 +150,6 @@ def generate_sequence(spec: SceneSpec, frames: int, resolution):
         depth = np.minimum(depth, MAX_DEPTH)
         # distance shading keeps rgb correlated with depth
         rgb = color * (1.0 / (1.0 + 0.02 * depth))[..., None]
-        if spec.noise_level > 0:
-            rgb = rgb + rng.normal(0, spec.noise_level, rgb.shape)
         rgb = np.clip(rgb, 0.0, 1.0)
         valid = np.ones((h, w), dtype=bool)
         if spec.invalid_fraction > 0:
@@ -177,12 +174,12 @@ def write_pfm(path, data: np.ndarray):
         f.write(np.ascontiguousarray(arr[::-1]).tobytes())
 
 
-def _read_line(f) -> str:
+def _read_line(f, error=PfmError) -> str:
     line = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise PfmError("unexpected end of header")
+            raise error("unexpected end of header")
         if ch == b"\n":
             return line.decode("ascii")
         line += ch
@@ -226,13 +223,13 @@ def write_ppm(path, rgb: np.ndarray):
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        if _read_line(f) != "P6":
+        if _read_line(f, PpmError) != "P6":
             raise PpmError("expected binary 'P6' header")
-        dims = _read_line(f).split()
+        dims = _read_line(f, PpmError).split()
         if len(dims) != 2:
             raise PpmError("malformed dimension line")
         w, h = int(dims[0]), int(dims[1])
-        maxval = _read_line(f)
+        maxval = _read_line(f, PpmError)
         if maxval != "255":
             raise PpmError(f"only 8-bit maxval 255 supported, got {maxval}")
         raw = f.read(3 * w * h)
@@ -294,8 +291,9 @@ def read_manifest(path) -> SequenceManifest:
 
 
 def save_sequence(out_dir, sequence_id: str, rgb, depth, valid,
-                  seed: int = 0, stride: int = 1) -> Path:
-    """Write frames plus a manifest; returns the manifest path."""
+                  seed: int = 0) -> Path:
+    """Write every frame plus a manifest (stride 1); returns the manifest
+    path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -308,7 +306,7 @@ def save_sequence(out_dir, sequence_id: str, rgb, depth, valid,
         write_pfm(out / names[2], valid[i].astype(np.float32))
         entries.append(names)
     manifest = SequenceManifest(sequence_id, len(rgb), rgb.shape[1],
-                                rgb.shape[2], seed, stride, entries)
+                                rgb.shape[2], seed, 1, entries)
     mpath = out / f"{sequence_id}.manifest"
     write_manifest(mpath, manifest)
     return mpath

@@ -25,6 +25,7 @@ __all__ = [
     "ABLATION_ROWS",
 ]
 _RECT_CHUNK = 32  # frame_augment's rectangles per unfinished frame and round
+_MAX_RECT_FRACTION = 0.02  # frame_augment's area cap per rectangle, of the frame
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class LossWeights:
 @dataclass
 class AugmentConfig:
     max_fraction: float = 0.4
-    max_rect_fraction: float = 0.02  # area cap per rectangle, of the frame
     enabled: bool = True
 
 
@@ -54,8 +54,10 @@ class TrainConfig:
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:
-    m = np.asarray(mask, dtype=T._dtype)
-    return T.weighted_abs_sum(diff, m * T._dtype(1.0 / max(m.sum(), 1.0)))
+    """Mean |diff| over the mask, in diff's precision."""
+    dtype = diff.data.dtype
+    m = np.asarray(mask, dtype=dtype)
+    return T.weighted_abs_sum(diff, m * dtype.type(1.0 / max(m.sum(), 1.0)))
 
 
 def loss_ssi_scene(pred, gt, masks) -> Tensor:
@@ -68,7 +70,7 @@ def temporal_gradient_error(aligned_pred, gt, masks) -> Tensor:
     """Mean |(d_t - d_{t-1}) - (g_t - g_{t-1})| over jointly valid pixels
     of consecutive frames. Input is already aligned."""
     p = T._as_tensor(aligned_pred)
-    gt = np.asarray(gt, dtype=T._dtype)
+    gt = np.asarray(gt, dtype=p.data.dtype)
     m = np.asarray(masks, dtype=bool)
     if p.shape[0] < 2:
         raise ValueError("temporal gradients need >= 2 frames")
@@ -105,9 +107,9 @@ def _weighted_losses(pred, gt, masks, weights: LossWeights):
         fs, ft, n = solve_scale_shift(products, m, axis=(1, 2))
         # (p*s0 + t0) - (p*s + t), with every frame's fit in one op
         gap = T.add(T.mul(p, T.sub(fs[0], fs)), T.sub(ft[0], ft))
-        # in the working precision, so a float64 gradcheck weighs in float64
+        # in pred's precision, so a float64 gradcheck weighs in float64
         terms["sascon"] = T.weighted_abs_sum(
-            gap, np.divide(m, n * m.shape[0], dtype=T._dtype))
+            gap, np.divide(m, n * m.shape[0], dtype=m.dtype))
         total = T.add(total, T.mul(terms["sascon"], weights.gamma))
     return total, terms
 
@@ -133,7 +135,7 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     n, h, w = out.shape[:3]
     total = h * w
     budget_px = int(cfg.max_fraction * total)
-    max_area = max(1, int(cfg.max_rect_fraction * total))
+    max_area = max(1, int(_MAX_RECT_FRACTION * total))
     # side bounds (exclusive) are capped so a rectangle fits the frame
     rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
     goal = rng.uniform(0.0, cfg.max_fraction, n) * total
@@ -268,7 +270,7 @@ ABLATION_ROWS = [
 
 
 def ablation_suite(model_factory, train_sequences, eval_pairs,
-                   train_cfg: TrainConfig, csv_path=None):
+                   train_cfg: TrainConfig):
     """Train one model per loss configuration row (identical seeds and
     budget) and evaluate with first-frame alignment.
 
@@ -289,9 +291,4 @@ def ablation_suite(model_factory, train_sequences, eval_pairs,
             "absrel": float(np.mean([r.absrel for r in reports])),
             "delta1": float(np.mean([r.delta1 for r in reports])),
         })
-    if csv_path:
-        with open(csv_path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=["config", "absrel", "delta1"])
-            w.writeheader()
-            w.writerows(rows)
     return rows

@@ -179,9 +179,10 @@ class DepthModel:
                              cfg.width // cfg.patch_size))
         return T.upsample_nearest(grid, cfg.patch_size)
 
-    def head_forward_batch(self, features, context: int | None = None) -> Tensor:
+    def head_forward_batch(self, features: np.ndarray,
+                           context: int | None = None) -> Tensor:
         """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask."""
-        feats = features if isinstance(features, Tensor) else T.constant(features)
+        feats = T.constant(features)
         n = feats.shape[0]
         c = self.cfg.context if context is None else context
         if c > self.cfg.context:
@@ -214,7 +215,7 @@ class StreamingSession:
 
     The session snapshots the model's weights when it is built and folds
     the attention weights once; training the model afterwards does not
-    change this session's outputs.
+    change this session's outputs. A stream restarts in a new session.
     """
 
     def __init__(self, model: DepthModel, context: int | None = None,
@@ -233,7 +234,7 @@ class StreamingSession:
                       for _ in range(cfg.num_motion_modules)]
         self.t = 0
 
-    def head_forward_stream(self, features) -> np.ndarray:
+    def head_forward_stream(self, features: np.ndarray) -> np.ndarray:
         """Features of ONE frame [S, C_enc] -> [H, W] inverse depth.
 
         The step is all or nothing. A frame of the wrong shape or with a
@@ -242,8 +243,7 @@ class StreamingSession:
         every bank back as it was. Either way t does not count the frame,
         so the session goes on as if it had never been offered.
         """
-        feats = features.data if isinstance(features, Tensor) else \
-            np.asarray(features)
+        feats = np.asarray(features)
         cfg = self.model.cfg
         if feats.shape != (cfg.tokens, cfg.encoder_channels):
             raise SessionMisuse(
@@ -270,11 +270,6 @@ class StreamingSession:
 
     def step_rgb(self, rgb: np.ndarray) -> np.ndarray:
         return self.head_forward_stream(self.model.encoder.encode_frame(rgb))
-
-    def reset(self):
-        for bank in self.banks:
-            bank.clear()
-        self.t = 0
 
     def memory_footprint(self) -> int:
         return sum(bank.memory_footprint() for bank in self.banks)

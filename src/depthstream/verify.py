@@ -53,14 +53,13 @@ def brute_force_align(pred, gt, iters: int = 200) -> AffineAlign:
         r = s * p + t - g
         return float(r @ r)
 
-    best = (0.0, 0.0)
-    best_cost = cost(*best)
-    for s in np.linspace(-10, 10, 81):
-        for t in np.linspace(-10, 10, 81):
-            c = cost(s, t)
-            if c < best_cost:
-                best, best_cost = (s, t), c
-    s, t = best
+    # every point of the 81x81 grid at once: residuals [s, t, pixel]
+    grid = np.linspace(-10, 10, 81)
+    r = grid[:, None, None] * p + grid[None, :, None] - g
+    i, j = np.unravel_index(np.argmin(np.einsum("stk,stk->st", r, r)),
+                            (grid.size, grid.size))
+    s, t = grid[i], grid[j]
+    best_cost = cost(s, t)
     step = 0.5
     for _ in range(iters):
         improved = False

@@ -36,6 +36,50 @@ class TestLeastSquaresAlign:
 
             assert residual(closed) <= residual(brute) + 1e-6
 
+    def test_brute_force_grid_matches_loop(self):
+        # the one-array grid search lands where the double loop over the
+        # same 81x81 grid did, so the refinement starts from the same point
+        def loop_align(p, g):
+            def cost(s, t):
+                r = s * p + t - g
+                return float(r @ r)
+
+            best, best_cost = (0.0, 0.0), cost(0.0, 0.0)
+            for s in np.linspace(-10, 10, 81):
+                for t in np.linspace(-10, 10, 81):
+                    if cost(s, t) < best_cost:
+                        best, best_cost = (s, t), cost(s, t)
+            s, t = best
+            step = 0.5
+            for _ in range(200):
+                improved = False
+                for ds, dt in ((step, 0), (-step, 0), (0, step), (0, -step)):
+                    if cost(s + ds, t + dt) < best_cost:
+                        s, t = s + ds, t + dt
+                        best_cost, improved = cost(s, t), True
+                if not improved:
+                    step *= 0.5
+                    if step < 1e-12:
+                        break
+            return s, t
+
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            p = rng.normal(0, 1, 40)
+            g = rng.normal(0, 2, 40) + rng.uniform(-3, 3)
+            brute = brute_force_align(p, g)
+            np.testing.assert_allclose((brute.scale, brute.shift),
+                                       loop_align(p, g), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("pred, gt, mask", [
+        ([1, 2, 3, 4], [5], None),
+        ([1, 2, 3], [3, 5, 7], [True, True]),
+        ([1, 2], [3, 5, 7], [True, True, False]),
+    ], ids=["gt_short", "mask_short", "pred_short"])
+    def test_sizes_that_differ_rejected(self, pred, gt, mask):
+        with pytest.raises(ValueError, match="sizes differ"):
+            least_squares_align(pred, gt, mask)
+
     def test_too_few_pixels(self):
         with pytest.raises(DegenerateAlignment):
             least_squares_align([1.0], [2.0])
@@ -134,6 +178,13 @@ class TestMetrics:
 
     def test_delta1_nonpositive_pred_is_outlier(self):
         assert delta1([1.0, 1.0], [-1.0, 1.0]) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("metric", [absrel, delta1])
+    def test_sizes_that_differ_rejected(self, metric):
+        with pytest.raises(ValueError, match="sizes differ"):
+            metric([2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="sizes differ"):
+            metric([2.0, 4.0], [2.0, 4.0], [True])
 
     def test_no_valid_pixels(self):
         with pytest.raises(DegenerateAlignment):

@@ -151,16 +151,6 @@ class TestCacheBank:
                 diffs = np.diff(indices(bank))
                 assert (diffs == 2).all()
 
-    def test_clear_resets(self):
-        bank = CacheBank(2, 2)
-        for i in range(6):
-            bank.push_evict(i, lat(i))
-        bank.clear()
-        assert bank.memory_footprint() == 0
-        assert len(bank) == 0 and bank.span() == 0
-        bank.push_evict(0, lat(0))
-        assert indices(bank) == [0]
-
     def test_closed_form_schedule(self):
         # frames 0, 1, 2, ...: window 0..t while t < c, then the c newest
         # of t, t - m, ...; the bank keeps the last m * c frames
@@ -168,17 +158,16 @@ class TestCacheBank:
         for precision, per_entry in (("fp32", 4 * size), ("fp16", 2 * size)):
             for c, m in itertools.product(range(1, 7), range(1, 5)):
                 bank = CacheBank(c, m, precision)
-                for _ in range(2):  # clear() restores the empty bank
-                    assert bank.memory_footprint() == 0
-                    for t in range(6 * m * c):
-                        evicted = bank.push_evict(t, lat(t, size))
-                        assert evicted == (t - m * c if t >= m * c else None)
-                        want = list(range(t + 1)) if t < c else \
-                            list(range(t, -1, -m))[:c][::-1]
-                        assert indices(bank) == want, (c, m, t)
-                        assert bank.memory_footprint() == \
-                            min(t + 1, m * c) * per_entry
-                    bank.clear()
+                assert bank.memory_footprint() == 0
+                assert len(bank) == 0 and bank.span() == 0
+                for t in range(6 * m * c):
+                    evicted = bank.push_evict(t, lat(t, size))
+                    assert evicted == (t - m * c if t >= m * c else None)
+                    want = list(range(t + 1)) if t < c else \
+                        list(range(t, -1, -m))[:c][::-1]
+                    assert indices(bank) == want, (c, m, t)
+                    assert bank.memory_footprint() == \
+                        min(t + 1, m * c) * per_entry
 
     def test_effective_span(self):
         for m in (1, 2, 3):

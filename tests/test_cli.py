@@ -107,6 +107,14 @@ class TestTrain:
         assert run("train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")) == 1
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_no_steps_is_usage_error(self, pipeline, tmp_path, capsys, steps):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(pipeline["data"]),
+                   "--out", str(out), "--steps", steps) == 1
+        assert capsys.readouterr().err == "error: --steps must be >= 1\n"
+        assert not out.exists()
+
 
 class TestInference:
     def test_stream_matches_batch(self, pipeline, tmp_path):
@@ -362,6 +370,13 @@ class TestBench:
         assert int(rows["warmup_excluded"]) == 4
         assert float(rows["stream_median_ms"]) > 0.0
         assert int(rows["cache_bytes"]) > 0
+
+    @pytest.mark.parametrize("frames", ["0", "-1"])
+    def test_no_frames_is_usage_error(self, tmp_path, capsys, frames):
+        out = tmp_path / "bench"
+        assert run("bench", "--out", str(out), "--frames", frames) == 1
+        assert capsys.readouterr().err == "error: --frames must be >= 1\n"
+        assert not out.exists()
 
 
 class TestCheck:

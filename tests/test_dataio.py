@@ -107,13 +107,20 @@ class TestPpmBytes:
         with pytest.raises(PpmError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"", b"P6", b"P6\n2", b"P6\n2 2\n25"])
+    def test_cut_header_is_a_ppm_error(self, tmp_path, header):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(header)
+        with pytest.raises(PpmError):
+            read_ppm(path)
+
 
 class TestGenerator:
     def test_reproducible(self):
-        spec = SceneSpec(seed=7, invalid_fraction=0.1, noise_level=0.01)
+        spec = SceneSpec(seed=7, invalid_fraction=0.1)
         a = generate_sequence(spec, 4, (8, 10))
-        b = generate_sequence(SceneSpec(seed=7, invalid_fraction=0.1,
-                                        noise_level=0.01), 4, (8, 10))
+        b = generate_sequence(SceneSpec(seed=7, invalid_fraction=0.1),
+                              4, (8, 10))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 

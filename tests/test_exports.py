@@ -41,3 +41,15 @@ def test_no_unused_imports(name):
     unused = {n: line for n, line in imported_names(tree).items()
               if n not in used}
     assert unused == {}
+
+
+def test_only_tensor_reads_the_working_dtype():
+    # other modules take the precision from their operands, so the working
+    # dtype stays one module's state
+    readers = []
+    for name in MODULES:
+        module = importlib.import_module(f"depthstream.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        readers += [f"{name}:{n.lineno}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr == "_dtype"]
+    assert readers == []
