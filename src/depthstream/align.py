@@ -89,13 +89,11 @@ def least_squares_align(pred, gt, mask=None) -> AffineAlign:
         raise DegenerateAlignment(f"need >= 2 valid pixels, got {p.size}")
     if not (np.isfinite(p).all() and np.isfinite(g).all()):
         raise ValueError("pred and gt must be finite on valid pixels")
-    with T.working_dtype(np.float64):
-        _, _, m, products = fit_products(p, g, np.ones(p.size, dtype=bool))
-        try:
-            s, t, _ = solve_scale_shift(products, m)
-        except DegenerateAlignment:
-            return AffineAlign(1.0, float(g.mean() - p.mean()),
-                               degenerate=True)
+    _, _, m, products = fit_products(p, g, np.ones(p.size, dtype=bool))
+    try:
+        s, t, _ = solve_scale_shift(products, m)
+    except DegenerateAlignment:
+        return AffineAlign(1.0, float(g.mean() - p.mean()), degenerate=True)
     return AffineAlign(s.item(), t.item())
 
 

@@ -97,9 +97,10 @@ def _resolve_model_flags(args, cfg: ModelConfig):
 
 
 def cmd_train(args) -> int:
-    if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+    for flag in ("steps", "batch"):
+        if getattr(args, flag) < 1:
+            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+            return USAGE_ERROR
     given = _given_model_flags(args)
     step_offset = 0
     if args.resume:

@@ -174,29 +174,32 @@ def write_pfm(path, data: np.ndarray):
         f.write(np.ascontiguousarray(arr[::-1]).tobytes())
 
 
-def _read_line(f, error=PfmError) -> str:
-    line = b""
-    while True:
-        ch = f.read(1)
-        if not ch:
-            raise error("unexpected end of header")
-        if ch == b"\n":
-            return line.decode("ascii")
-        line += ch
+def _read_header(f, tag: str, error) -> tuple[int, int, str]:
+    """A PFM or PPM header's three lines: the tag, "W H" and a third line,
+    returned as (w, h, third). Raises error (PfmError or PpmError) for a
+    different tag, a cut, overlong or non-ASCII header line, or a
+    dimension line that is not two non-negative integers."""
+    raw = [f.readline(256) for _ in range(3)]
+    if not all(line.endswith(b"\n") and line.isascii() for line in raw):
+        raise error("header cut short, overlong or not ASCII")
+    got, dim_line, third = (line[:-1].decode("ascii") for line in raw)
+    if got != tag:
+        raise error(f"expected {tag!r} header, got {got!r}")
+    dims = dim_line.split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        raise error(f"malformed dimension line {dim_line!r}")
+    return int(dims[0]), int(dims[1]), third
 
 
 def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        tag = _read_line(f)
-        if tag != "Pf":
-            raise PfmError(f"expected grayscale 'Pf' header, got {tag!r}")
-        dims = _read_line(f).split()
-        if len(dims) != 2:
-            raise PfmError("malformed dimension line")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(_read_line(f))
-        if scale == 0:
-            raise PfmError("zero scale")
+        w, h, scale_line = _read_header(f, "Pf", PfmError)
+        try:
+            scale = float(scale_line)
+        except ValueError:
+            raise PfmError(f"malformed scale line {scale_line!r}") from None
+        if scale == 0 or not np.isfinite(scale):
+            raise PfmError(f"scale must be finite and non-zero, got {scale}")
         count = w * h
         raw = f.read(4 * count)
         if len(raw) != 4 * count:
@@ -223,13 +226,7 @@ def write_ppm(path, rgb: np.ndarray):
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        if _read_line(f, PpmError) != "P6":
-            raise PpmError("expected binary 'P6' header")
-        dims = _read_line(f, PpmError).split()
-        if len(dims) != 2:
-            raise PpmError("malformed dimension line")
-        w, h = int(dims[0]), int(dims[1])
-        maxval = _read_line(f, PpmError)
+        w, h, maxval = _read_header(f, "P6", PpmError)
         if maxval != "255":
             raise PpmError(f"only 8-bit maxval 255 supported, got {maxval}")
         raw = f.read(3 * w * h)

@@ -130,7 +130,7 @@ class DepthModel:
     def __init__(self, cfg: ModelConfig, arrays=None):
         """A seeded model or, given every stored array in checkpoint order,
         one built from them without drawing (ValueError if their count or
-        shapes differ from _layout's)."""
+        shapes differ from _layout's). It holds every array in float32."""
         self.cfg = cfg
         head, encoder = _layout(cfg)
         if arrays is None:
@@ -140,7 +140,7 @@ class DepthModel:
         shapes = [shape for shape, _, _ in head + encoder]
         if [a.shape for a in arrays] != shapes:
             raise ValueError("stored arrays do not match the model's layout")
-        stored = iter(arrays)
+        stored = (np.asarray(a, dtype=np.float32) for a in arrays)
 
         def params(n):
             return [Tensor(next(stored), requires_grad=True)
@@ -182,7 +182,7 @@ class DepthModel:
     def head_forward_batch(self, features: np.ndarray,
                            context: int | None = None) -> Tensor:
         """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask."""
-        feats = T.constant(features)
+        feats = T.constant(np.asarray(features, dtype=np.float32))
         n = feats.shape[0]
         c = self.cfg.context if context is None else context
         if c > self.cfg.context:
@@ -243,7 +243,7 @@ class StreamingSession:
         every bank back as it was. Either way t does not count the frame,
         so the session goes on as if it had never been offered.
         """
-        feats = np.asarray(features)
+        feats = np.asarray(features, dtype=np.float32)
         cfg = self.model.cfg
         if feats.shape != (cfg.tokens, cfg.encoder_channels):
             raise SessionMisuse(

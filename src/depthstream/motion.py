@@ -118,8 +118,9 @@ def fold(params: MotionModuleParams) -> FoldedWeights:
     projections are one. These are ordinary ops, so under a tape gradients
     reach Wq, Wk, Wv, Wo and pe_table through them."""
     channels = params.wq.shape[0]
-    # [I; pe] Wk holds Wk and pe Wk, so its transpose is [Wk^T | Wk^T pe^T]
-    keys_pe = T.concat([T.constant(np.eye(channels)), params.pe_table])
+    # [I; pe] Wk holds Wk and pe Wk, so its transpose is [Wk^T | Wk^T pe^T];
+    # the identity is a constant, so it takes pe_table's precision
+    keys_pe = T.concat([np.eye(channels), params.pe_table])
     k_map = T.transpose(T.mul(T.matmul(keys_pe, params.wk),
                               1.0 / np.sqrt(channels)), (1, 0))
     return FoldedWeights(

@@ -1,21 +1,26 @@
 """Minimal dense-tensor arithmetic with reverse-mode differentiation.
 
-Tensors wrap row-major numpy arrays in the working precision (float32 by
-default). Operations are module functions (T.add, T.linear, ...); a Tensor
-overloads no operator except indexing. Each op records its backward rule
-onto the active Tape, and a backward computes no gradient for an input that
-requires none; with no tape active an op is a plain numpy computation whose
-result requires no gradient; Tape.backward sets .grad on leaves only.
+A Tensor computes in its data's precision: float64 stays float64, any
+other data becomes float32, and a constant operand (a numpy array or a
+number where a Tensor goes) takes its Tensor operand's precision.
+Operations are module functions (T.add, T.linear, ...); a Tensor overloads
+no operator except indexing. Each op records its backward rule onto the
+active Tape (one per thread), and a backward computes no gradient for an
+input that requires none; with no tape active an op is a plain numpy
+computation whose result requires no gradient; Tape.backward sets .grad
+on leaves only.
 T.skew and T.unskew are the relative shift; T.weighted_abs_sum (masked
 L1) and T.diff0 (frame difference) serve the losses.
 Ops do not check finiteness. NonFiniteError is raised where a NaN or Inf
 would persist or leave: a cache-bank write, a model output, the loss.
-Gradient checking runs the same code in float64, out of float32's noise.
+Gradient checking runs the same code on float64 parameters, out of
+float32's noise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +38,6 @@ __all__ = [
     "linear",
     "relu",
     "gradcheck",
-    "working_dtype",
     "finite_checks",
 ]
 
@@ -46,20 +50,8 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes."""
 
 
-_dtype = np.float32
-_active_tape: "Tape | None" = None
-
-
-@contextlib.contextmanager
-def working_dtype(dt):
-    """Temporarily switch the precision every new tensor is created in."""
-    global _dtype
-    prev = _dtype
-    _dtype = np.dtype(dt).type
-    try:
-        yield
-    finally:
-        _dtype = prev
+_active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
+    "active_tape", default=None)
 
 
 @contextlib.contextmanager
@@ -74,8 +66,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_dtype)
-        self.data = arr
+        arr = np.asarray(data)  # float32 ("f") and float64 ("d") stay
+        self.data = arr if arr.dtype.char in "fd" else arr.astype(np.float32)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
@@ -104,22 +96,21 @@ def constant(data) -> Tensor:
 class Tape:
     """Ordered record of primitive ops; replay backward to get gradients.
 
-    Single-owner: a tape must not be shared across concurrent tasks.
+    One tape is active per thread (per context); a tape must not be shared
+    across concurrent tasks.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self):
-        global _active_tape
-        if _active_tape is not None:
+        if _active_tape.get() is not None:
             raise RuntimeError("a Tape is already active")
-        _active_tape = self
+        self._token = _active_tape.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _active_tape
-        _active_tape = None
+        _active_tape.reset(self._token)
         return False
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], back: Callable):
@@ -163,17 +154,23 @@ class Tape:
 
 
 def _finish(out_data, inputs: Sequence[Tensor], back: Callable) -> Tensor:
-    if _active_tape is None:
+    tape = _active_tape.get()
+    if tape is None:
         return Tensor(out_data)
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        _active_tape.record(out, inputs, back)
+        tape.record(out, inputs, back)
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like=None) -> Tensor:
+    """x itself if a Tensor, else a constant: in like's precision if like
+    is a Tensor (x's operand), in its own (see Tensor) if not."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, like.data.dtype) if isinstance(like, Tensor)
+                  else x)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -190,7 +187,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out = a.data + b.data
 
     def back(g):
@@ -201,7 +198,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out = a.data - b.data
 
     def back(g):
@@ -212,7 +209,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out = a.data * b.data
 
     def back(g):
@@ -223,7 +220,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
 
@@ -292,7 +289,7 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product of a [..., k] (a [k] vector too) with a 2-D b [k, n]."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.ndim < 1 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
@@ -307,7 +304,7 @@ def matmul(a, b) -> Tensor:
 
 def bmm(a, b) -> Tensor:
     """Batched matrix product: [B,m,k] x [B,k,n] -> [B,m,n]."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[2] != b.shape[1]:
         raise ShapeError(f"bmm shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
@@ -349,7 +346,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    x = _as_tensor(x, gain)
+    gain, bias = _as_tensor(gain, x), _as_tensor(bias, x)
     d = x.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty axis")
@@ -374,7 +372,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """Affine map on the last axis: x[...,k] @ w[k,n] + b, where b is [n]
     or any shape that broadcasts against the product."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x = _as_tensor(x, w)
+    w, b = _as_tensor(w, x), _as_tensor(b, x)
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[-1]:
         raise ShapeError(f"linear shapes {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data + b.data
@@ -424,7 +423,8 @@ def getitem(x, idx) -> Tensor:
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    like = next((t for t in tensors if isinstance(t, Tensor)), None)
+    ts = [_as_tensor(t, like) for t in tensors]
     out = np.stack([t.data for t in ts], axis=axis)
 
     def back(g):
@@ -434,7 +434,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    like = next((t for t in tensors if isinstance(t, Tensor)), None)
+    ts = [_as_tensor(t, like) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
     splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
@@ -489,42 +490,42 @@ def gradcheck(f: Callable[[], Tensor], params: Sequence[Tensor],
     finite differences.
 
     f must rebuild its computation from the current contents of params each
-    call. Returns a report with per-parameter max relative error; the whole
-    evaluation runs in float64 so the differences are not drowned by
-    float32 rounding.
+    call. Returns a report with per-parameter max relative error. The
+    params hold float64 copies during the check, so every op they reach
+    runs in float64 and the differences are not drowned by float32
+    rounding.
     """
     if not (1e-5 <= h <= 1e-2):
         raise ValueError("h outside [1e-5, 1e-2]")
-    with working_dtype(np.float64):
-        saved = [p.data for p in params]
-        for p in params:
-            p.data = p.data.astype(np.float64)
-        try:
-            with Tape() as tape:
-                tape.backward(f())
-            analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                        for p in params]
-            errs = []
-            for p, ga in zip(params, analytic):
-                numeric = np.zeros_like(p.data)
-                flat = p.data.reshape(-1)
-                nflat = numeric.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    fp = float(f().data.reshape(-1)[0])
-                    flat[i] = orig - h
-                    fm = float(f().data.reshape(-1)[0])
-                    flat[i] = orig
-                    if not (np.isfinite(fp) and np.isfinite(fm)):
-                        raise NonFiniteError("non-finite value during gradcheck")
-                    nflat[i] = (fp - fm) / (2 * h)
-                denom = np.maximum(np.abs(ga) + np.abs(numeric), 1.0)
-                errs.append(float(np.max(np.abs(ga - numeric) / denom))
-                            if ga.size else 0.0)
-        finally:
-            for p, s in zip(params, saved):
-                p.data = s
-                p.grad = None
+    saved = [p.data for p in params]
+    for p in params:
+        p.data = p.data.astype(np.float64)
+    try:
+        with Tape() as tape:
+            tape.backward(f())
+        analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                    for p in params]
+        errs = []
+        for p, ga in zip(params, analytic):
+            numeric = np.zeros_like(p.data)
+            flat = p.data.reshape(-1)
+            nflat = numeric.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(f().data.reshape(-1)[0])
+                flat[i] = orig - h
+                fm = float(f().data.reshape(-1)[0])
+                flat[i] = orig
+                if not (np.isfinite(fp) and np.isfinite(fm)):
+                    raise NonFiniteError("non-finite value during gradcheck")
+                nflat[i] = (fp - fm) / (2 * h)
+            denom = np.maximum(np.abs(ga) + np.abs(numeric), 1.0)
+            errs.append(float(np.max(np.abs(ga - numeric) / denom))
+                        if ga.size else 0.0)
+    finally:
+        for p, s in zip(params, saved):
+            p.data = s
+            p.grad = None
     max_err = max(errs) if errs else 0.0
     return {"per_param": errs, "max_rel_err": max_err, "passed": max_err <= tol}

@@ -115,6 +115,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: --steps must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_no_batch_is_usage_error(self, pipeline, tmp_path, capsys, batch):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(pipeline["data"]),
+                   "--out", str(out), "--batch", batch) == 1
+        assert capsys.readouterr().err == "error: --batch must be >= 1\n"
+        assert not out.exists()
+
 
 class TestInference:
     def test_stream_matches_batch(self, pipeline, tmp_path):

@@ -54,6 +54,16 @@ class TestPfmBytes:
         with pytest.raises(PfmError):
             read_pfm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"Pf\n1 1\nabc\n", b"Pf\n1 1\nnan\n", b"Pf\nx 1\n-1.0\n",
+        b"Pf\n-1 -1\n-1.0\n", b"Pf\n1 1 1\n-1.0\n", b"Pf\n1 \xb9\n-1.0\n"])
+    def test_malformed_header_is_a_pfm_error(self, tmp_path, header):
+        # not a plain ValueError from int() or float()
+        path = tmp_path / "h.pfm"
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(PfmError):
+            read_pfm(path)
+
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 3), np.float32))
@@ -111,6 +121,16 @@ class TestPpmBytes:
     def test_cut_header_is_a_ppm_error(self, tmp_path, header):
         path = tmp_path / "h.ppm"
         path.write_bytes(header)
+        with pytest.raises(PpmError):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P6\nx y\n255\n", b"P6\n2 2.0\n255\n", b"P6\n-2 -2\n255\n",
+        b"P6\n2 \xb2\n255\n"])
+    def test_malformed_header_is_a_ppm_error(self, tmp_path, header):
+        # not a plain ValueError from int() or a decode
+        path = tmp_path / "h.ppm"
+        path.write_bytes(header + b"\x00" * 12)
         with pytest.raises(PpmError):
             read_ppm(path)
 

@@ -14,7 +14,7 @@ from depthstream.losses import (_MAX_RECT_FRACTION, ABLATION_ROWS,
                                 loss_tgm, loss_total, temporal_gradient_error,
                                 train_step)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.tensor import Tape, Tensor, gradcheck, working_dtype
+from depthstream.tensor import Tape, Tensor, gradcheck
 
 
 def affine_instance(seed=0, frames=3, shape=(4, 5), a=1.8, b=0.4):
@@ -234,15 +234,14 @@ class TestTotalLoss:
             0, 0.2, pred.shape).astype(np.float32)
 
         def grad(fn):
-            param = Tensor(pred, requires_grad=True)
+            # float64 operands, so every op runs in float64
+            param = Tensor(pred.astype(np.float64), requires_grad=True)
             with Tape() as tape:
                 tape.backward(fn(param, gt, masks))
             return param.grad
 
-        with working_dtype(np.float64):
-            total = grad(loss_total)
-            terms = sum(grad(fn)
-                        for fn in (loss_ssi_scene, loss_tgm, loss_sascon))
+        total = grad(loss_total)
+        terms = sum(grad(fn) for fn in (loss_ssi_scene, loss_tgm, loss_sascon))
         assert total.dtype == np.float64
         assert np.abs(total - terms).max() <= 1e-12 * np.abs(terms).max()
 
@@ -448,6 +447,59 @@ def tiny_batch(model, seed=0, frames=3):
     gt = rng.uniform(0.2, 1.0, (frames, 8, 8)).astype(np.float32)
     masks = np.ones((frames, 8, 8), dtype=bool)
     return [(feats, gt, masks)]
+
+
+@pytest.fixture
+def kept_tapes(monkeypatch):
+    """(tape, leaf gradients) for every tape a backward runs on, kept
+    before train_step or gradcheck clears the gradients."""
+    kept = []
+
+    class KeptTape(Tape):
+        def backward(self, loss):
+            super().backward(loss)
+            kept.append((self, [t.grad for _, inputs, _ in self._nodes
+                                for t in inputs if t.grad is not None]))
+
+    monkeypatch.setattr("depthstream.losses.Tape", KeptTape)
+    monkeypatch.setattr(T, "Tape", KeptTape)
+    return kept
+
+
+class TestPrecision:
+    """Ops run in their operands' precision: float32 in training, float64
+    under gradcheck, which hands them float64 parameters."""
+
+    def test_train_step_runs_in_float32(self, kept_tapes):
+        model = tiny_model()
+        train_step(model, tiny_batch(model), LossWeights(),
+                   TrainConfig(steps=1))
+        [(tape, grads)] = kept_tapes
+        assert {out.data.dtype for out, _, _ in tape._nodes} == {
+            np.dtype(np.float32)}
+        assert grads and {g.dtype for g in grads} == {np.dtype(np.float32)}
+        assert {p.data.dtype for _, p in model.head_parameters()} == {
+            np.dtype(np.float32)}
+
+    def test_gradcheck_runs_in_float64(self, kept_tapes):
+        model = DepthModel(ModelConfig(height=4, width=4, patch_size=2,
+                                       encoder_channels=2, head_channels=2,
+                                       num_motion_modules=1, context=2))
+        rng = np.random.default_rng(0)
+        feats = model.encoder.encode_sequence(
+            rng.random((3, 4, 4, 3)).astype(np.float32))
+        gt = rng.uniform(0.2, 1.0, (3, 4, 4)).astype(np.float32)
+        masks = np.ones(gt.shape, dtype=bool)
+        params = [p for _, p in model.head_parameters()]
+        report = gradcheck(lambda: loss_total(
+            model.head_forward_batch(feats), gt, masks), params)
+        assert report["passed"]
+        [(tape, grads)] = kept_tapes
+        assert {out.data.dtype for out, _, _ in tape._nodes} == {
+            np.dtype(np.float64)}
+        assert grads and {g.dtype for g in grads} == {np.dtype(np.float64)}
+        # the parameters get their float32 arrays back
+        assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
 
 
 class TestTrainStep:

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -437,6 +438,55 @@ class TestConfigValidation:
                 assert p.grad is None, name
             else:
                 assert p.grad is not None and np.any(p.grad != 0), name
+
+    def test_float64_features_give_the_float32_outputs(self, model, cfg):
+        feats = model.encoder.encode_sequence(rand_rgb(5, cfg, seed=20))
+        wide = feats.astype(np.float64)
+        batch = model.head_forward_batch(feats).data
+        wide_batch = model.head_forward_batch(wide).data
+        assert batch.dtype == wide_batch.dtype == np.float32
+        np.testing.assert_array_equal(wide_batch, batch)
+        session, wide_session = model.new_session(), model.new_session()
+        for f, w in zip(feats, wide):
+            out, wide_out = (session.head_forward_stream(f),
+                             wide_session.head_forward_stream(w))
+            assert out.dtype == wide_out.dtype == np.float32
+            np.testing.assert_array_equal(wide_out, out)
+
+    def test_a_tape_in_one_thread_leaves_another_alone(self, model, cfg):
+        # thread B's ops must not land on thread A's open tape, and B can
+        # open a tape of its own while A's is open
+        feats = model.encoder.encode_sequence(rand_rgb(4, cfg, seed=21))
+        opened, finished = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_a_tape():
+            with Tape() as tape:
+                opened.set()
+                finished.wait(60)
+                seen["a"] = len(tape)
+
+        def run_the_head():
+            try:
+                opened.wait(60)
+                model.head_forward_batch(feats)
+                with Tape() as tape:
+                    model.head_forward_batch(feats)
+                seen["b"] = len(tape)
+            except Exception as e:  # reported below, in the main thread
+                seen["b"] = e
+            finally:
+                finished.set()
+
+        threads = [threading.Thread(target=hold_a_tape),
+                   threading.Thread(target=run_the_head)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen["a"] == 0
+        assert isinstance(seen["b"], int) and seen["b"] > 0, seen["b"]
 
     def test_smaller_session_context_allowed(self, model, cfg):
         seq = rand_rgb(6, cfg, seed=14)

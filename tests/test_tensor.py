@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from depthstream import tensor as T
 from depthstream.tensor import (NonFiniteError, ShapeError, Tape, Tensor,
-                                gradcheck, working_dtype)
+                                gradcheck)
 
 
 class TestMatmul:
@@ -136,9 +136,9 @@ class TestLayerNorm:
                                        (16, 1, 64)])
     def test_bit_identical_to_numpy_var(self, dtype, shape):
         x = np.random.default_rng(4).normal(2.0, 3.0, shape).astype(dtype)
-        with T.working_dtype(dtype):
-            out = T.layer_norm(Tensor(x), Tensor(np.ones(shape[-1])),
-                               Tensor(np.zeros(shape[-1]))).data
+        # the gain and bias are constants, so they take x's precision
+        out = T.layer_norm(Tensor(x), np.ones(shape[-1]),
+                           np.zeros(shape[-1])).data
         mu = x.mean(axis=-1, keepdims=True)
         eps = np.asarray(1e-5, dtype=dtype)
         ref = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps))
@@ -237,9 +237,10 @@ class TestBackward:
         # a's later contributions must not land in b's gradient or the view
         rng = np.random.default_rng(3)
         u, v, w = (rng.normal(size=(2, 3)) for _ in range(3))
+        # float64 operands, so every op runs in float64
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        with working_dtype(np.float64), Tape() as tape:
+        with Tape() as tape:
             uses = [T.sum_(a), T.sum_(T.mul(a, u)), T.sum_(T.mul(a, v))]
             loss = T.sum_(T.mul(T.add(a, b), w))
             for use in uses:
@@ -431,6 +432,27 @@ class TestConstantOperands:
                 not t.requires_grad for t in ts]
             for t, g in zip(ts, grads):
                 assert g is None or g.shape == t.shape
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", CONSTANT_OPERAND_OPS)
+    def test_a_constant_takes_its_tensor_operands_precision(self, name,
+                                                            dtype):
+        # a plain array of the other precision, at each position in turn
+        op, shapes = CONSTANT_OPERAND_OPS[name]
+        other = np.float64 if dtype == np.float32 else np.float32
+        for constant in range(len(shapes)):
+            args = [t.data.astype(other) if i == constant
+                    else Tensor(t.data.astype(dtype))
+                    for i, t in enumerate(_operands(shapes, constant))]
+            assert op(*args).data.dtype == dtype
+        assert T.mul(2.0, Tensor(np.ones(2, dtype))).data.dtype == dtype
+
+    @pytest.mark.parametrize("data, dtype", [
+        (np.ones(2), np.float64), (1.0, np.float64),
+        (np.ones(2, np.float16), np.float32), (np.arange(2), np.float32)])
+    def test_float64_stays_and_other_data_becomes_float32(self, data, dtype):
+        assert Tensor(data).data.dtype == dtype
 
 
 class TestWeightedAbsSum:
