@@ -101,9 +101,9 @@ def apply_align(pred, align: AffineAlign):
     return align.scale * np.asarray(pred, dtype=np.float64) + align.shift
 
 
-def invert_disparity(d, eps: float = 1e-6):
+def invert_disparity(d):
     """Inverse depth -> depth, clamped to the evaluation range (0, 80]."""
-    depth = 1.0 / np.maximum(np.asarray(d, dtype=np.float64), eps)
+    depth = 1.0 / np.maximum(np.asarray(d, dtype=np.float64), 1e-6)
     return np.minimum(depth, DEPTH_CLIP)
 
 

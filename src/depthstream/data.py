@@ -280,11 +280,14 @@ def read_manifest(path) -> SequenceManifest:
                 if len(parts) != 3:
                     raise ValueError(f"malformed frame line: {line!r}")
                 entries.append(tuple(parts))
-    return SequenceManifest(
-        sequence_id=header["id"], frames=int(header["frames"]),
-        height=int(header["height"]), width=int(header["width"]),
-        seed=int(header["seed"]), stride=int(header["stride"]),
-        entries=entries)
+    try:
+        return SequenceManifest(
+            sequence_id=header["id"], frames=int(header["frames"]),
+            height=int(header["height"]), width=int(header["width"]),
+            seed=int(header["seed"]), stride=int(header["stride"]),
+            entries=entries)
+    except KeyError as e:
+        raise ValueError(f"manifest {path} lacks header key {e}") from None
 
 
 def save_sequence(out_dir, sequence_id: str, rgb, depth, valid,

@@ -26,6 +26,7 @@ __all__ = [
 ]
 _RECT_CHUNK = 32  # frame_augment's rectangles per unfinished frame and round
 _MAX_RECT_FRACTION = 0.02  # frame_augment's area cap per rectangle, of the frame
+_MAX_FRACTION = 0.4  # frame_augment's cap on each frame's zeroed area
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class LossWeights:
 
 @dataclass
 class AugmentConfig:
-    max_fraction: float = 0.4
     enabled: bool = True
 
 
@@ -124,21 +124,19 @@ def loss_total(pred, gt, masks, weights: LossWeights = LossWeights()) -> Tensor:
 def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """Zero i.i.d. random rectangles per frame, in all channels, while the
-    union is below a target from U[0, max_fraction); the first that would
-    push it above int(max_fraction * H * W) is rejected and ends the
+    union is below a target from U[0, _MAX_FRACTION); the first that would
+    push it above int(_MAX_FRACTION * H * W) is rejected and ends the
     frame. Every unfinished frame draws _RECT_CHUNK rectangles at a time."""
-    if cfg.max_fraction > 1:
-        raise ValueError(f"max_fraction {cfg.max_fraction} > 1 is unreachable")
     out = np.array(rgb_seq, copy=True, order="C")
-    if not cfg.enabled or cfg.max_fraction <= 0:
+    if not cfg.enabled:
         return out
     n, h, w = out.shape[:3]
     total = h * w
-    budget_px = int(cfg.max_fraction * total)
+    budget_px = int(_MAX_FRACTION * total)
     max_area = max(1, int(_MAX_RECT_FRACTION * total))
     # side bounds (exclusive) are capped so a rectangle fits the frame
     rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
-    goal = rng.uniform(0.0, cfg.max_fraction, n) * total
+    goal = rng.uniform(0.0, _MAX_FRACTION, n) * total
     mask = np.zeros((n, total), dtype=bool)
     label = np.empty(n * total, dtype=np.intp)  # first covering rectangle
     live = np.flatnonzero(goal > 0)

@@ -43,7 +43,7 @@ def streaming_equivalence_check(c: int, n_frames: int, seed: int,
     return {"c": c, "n": n_frames, "max_abs_diff": diff, "passed": diff < tol}
 
 
-def brute_force_align(pred, gt, iters: int = 200) -> AffineAlign:
+def brute_force_align(pred, gt) -> AffineAlign:
     """Independent minimizer of sum((s*p + t - g)^2): coarse grid search
     refined by coordinate descent. Never uses the normal equations."""
     p = np.asarray(pred, dtype=np.float64).reshape(-1)
@@ -61,7 +61,7 @@ def brute_force_align(pred, gt, iters: int = 200) -> AffineAlign:
     s, t = grid[i], grid[j]
     best_cost = cost(s, t)
     step = 0.5
-    for _ in range(iters):
+    for _ in range(200):
         improved = False
         for ds, dt in ((step, 0), (-step, 0), (0, step), (0, -step)):
             c = cost(s + ds, t + dt)

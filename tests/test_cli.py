@@ -123,6 +123,20 @@ class TestTrain:
         assert capsys.readouterr().err == "error: --batch must be >= 1\n"
         assert not out.exists()
 
+    def test_manifest_without_frames_is_an_error(self, pipeline, tmp_path,
+                                                 capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        mpath = data / "seq000.manifest"
+        mpath.write_text("".join(
+            line for line in mpath.read_text().splitlines(keepends=True)
+            if not line.startswith("frames=")))
+        assert run("train", "--data", str(data), "--out",
+                   str(tmp_path / "out"), "--steps", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'frames'" in err
+
 
 class TestInference:
     def test_stream_matches_batch(self, pipeline, tmp_path):

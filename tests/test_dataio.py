@@ -224,6 +224,16 @@ class TestManifestAndSequenceIo:
         write_manifest(copy, manifest)
         assert read_manifest(copy) == manifest
 
+    @pytest.mark.parametrize("key", ["id", "frames", "height", "width",
+                                     "seed", "stride"])
+    def test_missing_header_key_is_a_value_error(self, saved, key):
+        mpath, *_ = saved
+        lines = mpath.read_text().splitlines(keepends=True)
+        mpath.write_text("".join(
+            line for line in lines if not line.startswith(f"{key}=")))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            read_manifest(mpath)
+
     def test_depth_and_valid_roundtrip_exact(self, saved):
         mpath, rgb, depth, valid = saved
         rgb2, depth2, valid2 = load_sequence(mpath)

@@ -52,3 +52,33 @@ def test_no_module_rebinds_a_global():
         statements += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                        if isinstance(n, ast.Global)]
     assert statements == []
+
+
+def settable_values(tree: ast.Module) -> int:
+    """Dataclass fields, defaulted parameters of public functions and
+    methods, and add_argument calls (CLI flags)."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                        None) == "dataclass"
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"):
+            count += 1
+    return count
+
+
+def test_settable_values():
+    """Every value a caller can set, pinned. A change that adds a setting
+    updates this number and says in CHANGES.md why a constant would not
+    do; one that removes settings lowers it."""
+    root = Path(depthstream.__file__).parent
+    assert sum(settable_values(ast.parse(path.read_text()))
+               for path in root.glob("*.py")) == 144

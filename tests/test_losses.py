@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthstream import losses
 from depthstream import tensor as T
 from depthstream.align import DegenerateAlignment
 from depthstream.losses import (_MAX_RECT_FRACTION, ABLATION_ROWS,
@@ -283,17 +284,17 @@ def ks_statistic(a, b):
                   / b.size).max()
 
 
-def reference_frame_augment(rgb_seq, cfg, rng):
+def reference_frame_augment(rgb_seq, max_fraction, rng):
     """frame_augment as one loop over frames and rectangles, one scalar
     draw at a time: the law the bulk draw must keep."""
     out = np.array(rgb_seq, copy=True)
     n, h, w = out.shape[:3]
     total = h * w
-    budget_px = int(cfg.max_fraction * total)
+    budget_px = int(max_fraction * total)
     max_area = max(1, int(_MAX_RECT_FRACTION * total))
     rh_end = min(max(2, int(np.sqrt(max_area)) + 1), h + 1)
     for f in range(n):
-        target = rng.uniform(0.0, cfg.max_fraction)
+        target = rng.uniform(0.0, max_fraction)
         mask = np.zeros((h, w), dtype=bool)
         while mask.sum() < target * total:
             rh = rng.integers(1, rh_end)
@@ -311,10 +312,14 @@ def reference_frame_augment(rgb_seq, cfg, rng):
 
 class TestFrameAugment:
     def test_disabled_is_identity(self):
+        # a copy, and no draw from the generator
         rgb = np.random.default_rng(23).random((4, 16, 16, 3))
-        out = frame_augment(rgb, AugmentConfig(max_fraction=0.0),
-                            np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = frame_augment(rgb, AugmentConfig(enabled=False), rng)
+        assert out is not rgb
         np.testing.assert_array_equal(out, rgb)
+        assert rng.bit_generator.state == state
 
     def test_zeroed_pixels_are_zero_in_all_channels(self):
         rgb = np.random.default_rng(24).random((4, 16, 16, 3)) + 0.1
@@ -347,8 +352,10 @@ class TestFrameAugment:
         rgb = np.random.default_rng(seed).uniform(
             0.1, 1.0, (2, size, size, 3)).astype(np.float32)
         before = rgb.copy()
-        cfg = AugmentConfig(max_fraction=max_fraction)
-        out = frame_augment(rgb, cfg, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "_MAX_FRACTION", max_fraction)
+            out = frame_augment(rgb, AugmentConfig(),
+                                np.random.default_rng(seed))
         np.testing.assert_array_equal(rgb, before)
         zeroed = (out == 0).all(axis=-1)
         assert (zeroed.sum(axis=(1, 2))
@@ -375,11 +382,11 @@ class TestFrameAugment:
             "d73a042d54baa276e62b26694f9723a8"
             "c040de9fc9de5e41a8782f49a41577e8")
 
-    def test_one_channel_uint8_output_is_pinned(self):
+    def test_one_channel_uint8_output_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(losses, "_MAX_FRACTION", 0.9)
         rgb = np.random.default_rng(5).integers(
             1, 256, (16, 24, 40, 1)).astype(np.uint8)
-        out = frame_augment(rgb, AugmentConfig(max_fraction=0.9),
-                            np.random.default_rng(6))
+        out = frame_augment(rgb, AugmentConfig(), np.random.default_rng(6))
         assert out.dtype == np.uint8
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "952c8d18db8597f8d616797132ec39b7"
@@ -387,18 +394,20 @@ class TestFrameAugment:
 
     @pytest.mark.parametrize("size,max_fraction,frames",
                              [(32, 0.4, 10000), (64, 1.0, 1000)])
-    def test_same_law_as_reference_loop(self, size, max_fraction, frames):
+    def test_same_law_as_reference_loop(self, size, max_fraction, frames,
+                                        monkeypatch):
         # per-frame coverage of the bulk draw against the one-rectangle-
         # at-a-time loop, from fixed seeds (KS 0.009 and 0.031 here). At
         # 32x32 a copy that drops the rectangle reaching the target reads
         # KS 0.043 > 0.023 and a mean 6.9 standard errors low; one that
         # keeps the rectangle crossing the budget covers 426 > 409 pixels
-        cfg = AugmentConfig(max_fraction=max_fraction)
+        monkeypatch.setattr(losses, "_MAX_FRACTION", max_fraction)
         rgb = np.ones((frames, size, size, 1), dtype=np.uint8)
         rng = np.random.default_rng(31)
-        new = np.concatenate([frame_augment(part, cfg, rng)
+        new = np.concatenate([frame_augment(part, AugmentConfig(), rng)
                               for part in np.split(rgb, frames // 500)])
-        ref = reference_frame_augment(rgb, cfg, np.random.default_rng(30))
+        ref = reference_frame_augment(rgb, max_fraction,
+                                      np.random.default_rng(30))
         ref, new = ((out == 0)[..., 0].sum(axis=(1, 2)) for out in (ref, new))
         budget_px = int(max_fraction * size * size)
         assert ref.max() <= budget_px and new.max() <= budget_px
@@ -406,18 +415,6 @@ class TestFrameAugment:
             2 / frames)
         se = np.sqrt((ref.var(ddof=1) + new.var(ddof=1)) / frames)
         assert abs(ref.mean() - new.mean()) < 4 * se
-
-    def test_fraction_above_one_is_rejected_before_any_draw(self):
-        rgb = np.ones((2, 8, 8, 3))
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="max_fraction"):
-            frame_augment(rgb, AugmentConfig(max_fraction=1.5), rng)
-        assert rng.bit_generator.state == state
-        out = frame_augment(rgb, AugmentConfig(max_fraction=-0.5), rng)
-        assert out is not rgb
-        np.testing.assert_array_equal(out, rgb)
-        assert rng.bit_generator.state == state
 
     def test_trainer_augments_64px_clips_leaving_depth_alone(self):
         rng = np.random.default_rng(27)
