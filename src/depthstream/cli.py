@@ -30,13 +30,16 @@ from .tensor import NonFiniteError
 USAGE_ERROR, CHECK_FAILURE = 1, 2
 
 
-def _write_run_record(out_dir: Path, args: argparse.Namespace):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_run_record(args: argparse.Namespace) -> Path:
+    """Create --out and write the resolved flags into it. Each command
+    calls this once its input files are read, so bad input leaves no
+    --out behind."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     record = {k: v for k, v in vars(args).items() if k != "func"}
-    record = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in record.items()}
-    with open(out_dir / "run_config.json", "w") as f:
+    with open(out / "run_config.json", "w") as f:
         json.dump(record, f, indent=2, sort_keys=True)
+    return out
 
 
 def _demo_spec(seed: int, velocity: float, invalid: float) -> SceneSpec:
@@ -54,17 +57,15 @@ def _demo_spec(seed: int, velocity: float, invalid: float) -> SceneSpec:
 
 
 def cmd_gen(args) -> int:
-    if args.frames < 1:
-        print("error: --frames must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    out = Path(args.out)
-    _write_run_record(out, args)
-    for i in range(args.sequences):
-        seed = args.seed + i
-        spec = _demo_spec(seed, args.velocity, args.invalid_fraction)
+    specs = [_demo_spec(args.seed + i, args.velocity, args.invalid_fraction)
+             for i in range(args.sequences)]
+    for spec in specs:
+        spec.validate(args.frames)
+    out = _write_run_record(args)
+    for i, spec in enumerate(specs):
         rgb, depth, valid = generate_sequence(
             spec, args.frames, (args.height, args.width))
-        save_sequence(out, f"seq{i:03d}", rgb, depth, valid, seed=seed)
+        save_sequence(out, f"seq{i:03d}", rgb, depth, valid, seed=spec.seed)
     print(f"wrote {args.sequences} sequence(s) to {out}")
     return 0
 
@@ -97,10 +98,6 @@ def _resolve_model_flags(args, cfg: ModelConfig):
 
 
 def cmd_train(args) -> int:
-    for flag in ("steps", "batch"):
-        if getattr(args, flag) < 1:
-            print(f"error: --{flag} must be >= 1", file=sys.stderr)
-            return USAGE_ERROR
     given = _given_model_flags(args)
     step_offset = 0
     if args.resume:
@@ -117,13 +114,12 @@ def cmd_train(args) -> int:
     else:
         model = DepthModel(ModelConfig(seed=args.seed, **given))
     _resolve_model_flags(args, model.cfg)
-    out = Path(args.out)
-    _write_run_record(out, args)
     sequences = []
     for mpath in _manifests(args.data):
         rgb, depth, valid = load_sequence(mpath)
         gt_inv = np.where(valid, 1.0 / np.maximum(depth, 1e-6), 0.0)
         sequences.append((rgb, gt_inv.astype(np.float32), valid))
+    out = _write_run_record(args)
     cfg = TrainConfig(learning_rate=args.lr, steps=args.steps,
                       batch_sequences=args.batch, cosine_schedule=args.cosine,
                       seed=args.seed)
@@ -156,14 +152,16 @@ def _timed_stream(model: DepthModel, args, frames, features: bool = False):
     return outs, ms, session.memory_footprint()
 
 
-def _infer_common(args, streaming: bool) -> int:
+def cmd_infer(args) -> int:
+    """`stream` (through the latent cache) or `infer-batch` (one banded
+    pass per sequence), as args.command says."""
     model, _ = load_checkpoint(args.model)
     _resolve_model_flags(args, model.cfg)
-    out = Path(args.out)
-    _write_run_record(out, args)
-    for mpath in _manifests(args.data):
-        rgb, _, _ = load_sequence(mpath, stride=args.stride)
-        seq_id = mpath.stem
+    clips = [(mpath.stem, load_sequence(mpath, stride=args.stride)[0])
+             for mpath in _manifests(args.data)]
+    out = _write_run_record(args)
+    streaming = args.command == "stream"
+    for seq_id, rgb in clips:
         if streaming:
             preds, latencies, footprint = _timed_stream(model, args, rgb)
         else:
@@ -190,14 +188,6 @@ def _infer_common(args, streaming: bool) -> int:
     return 0
 
 
-def cmd_stream(args) -> int:
-    return _infer_common(args, streaming=True)
-
-
-def cmd_infer_batch(args) -> int:
-    return _infer_common(args, streaming=False)
-
-
 def _load_eval_pairs(pred_dir, gt_dir, stride: int = 1):
     pairs = []
     for mpath in _manifests(gt_dir):
@@ -217,9 +207,8 @@ def _load_eval_pairs(pred_dir, gt_dir, stride: int = 1):
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
-    _write_run_record(out, args)
     pairs = _load_eval_pairs(args.pred, args.gt, stride=args.stride)
+    out = _write_run_record(args)
     rows = []
     for seq_id, seq in pairs:
         if args.align == "first":
@@ -239,9 +228,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    out = Path(args.out)
-    _write_run_record(out, args)
     pairs = _load_eval_pairs(args.pred, args.gt, stride=args.stride)
+    out = _write_run_record(args)
     curve = scale_drift_curve([seq for _, seq in pairs], window=args.smooth)
     curve.write_csv(out / "drift.csv")
     print(f"drift over {len(curve.drift)} frame indices "
@@ -250,16 +238,16 @@ def cmd_drift(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.frames < 1:
-        print("error: --frames must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     model = load_checkpoint(args.model)[0] if args.model else DepthModel(
         ModelConfig(seed=args.seed, **_given_model_flags(args)))
     cfg = model.cfg
     _resolve_model_flags(args, cfg)
-    out = Path(args.out)
-    _write_run_record(out, args)
     n = args.frames
+    warm = args.context
+    # the first c frames fill the cache and are not timed
+    if n <= warm:
+        raise ValueError(f"--frames {n} must exceed the context {warm}")
+    out = _write_run_record(args)
     rng = np.random.default_rng(args.seed)
     rgb = rng.random((n, cfg.height, cfg.width, 3)).astype(np.float32)
     feats = model.encoder.encode_sequence(rgb)
@@ -270,14 +258,12 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     model.head_forward_batch(feats, context=args.context)
     batch_ms_per_frame = (time.perf_counter() - t0) * 1e3
-    warm = args.context
-    kept = stream_ms[warm:]
-    median_stream = statistics.median(kept) if kept else float("nan")
+    median_stream = statistics.median(stream_ms[warm:])
     with open(out / "bench.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["key", "value"])
         w.writerow(["frames", n])
-        w.writerow(["warmup_excluded", min(warm, n)])
+        w.writerow(["warmup_excluded", warm])
         w.writerow(["context", args.context])
         w.writerow(["caches", args.caches])
         w.writerow(["precision", args.precision])
@@ -287,7 +273,7 @@ def cmd_bench(args) -> int:
         w.writerow(["cache_bytes", footprint])
     print(f"stream median {median_stream:.3f} ms/frame vs batch recompute "
           f"{batch_ms_per_frame:.3f} ms/frame over {n} frames "
-          f"({min(warm, n)} warm-up excluded)")
+          f"({warm} warm-up excluded)")
     return 0
 
 
@@ -343,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=cmd_train)
 
-    for name, fn, help_text in (
-            ("stream", cmd_stream, "streaming inference over manifests"),
-            ("infer-batch", cmd_infer_batch,
+    for name, help_text in (
+            ("stream", "streaming inference over manifests"),
+            ("infer-batch",
              "batch-mode inference (equivalence oracle for stream)")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", required=True)
@@ -354,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--context", type=int,
                        help="attention window c (default: the model's)")
         p.add_argument("--model", required=True, help="model checkpoint")
-        if fn is cmd_stream:
+        if name == "stream":
             _add_cache_flags(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="evaluate predictions against gt")
     p.add_argument("--pred", required=True)
@@ -399,6 +385,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
+    for flag in ("frames", "steps", "batch", "sequences"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+            return USAGE_ERROR
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError, NonFiniteError) as e:

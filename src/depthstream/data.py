@@ -52,6 +52,9 @@ class SceneSpec:
     def validate(self, frames: int):
         if not self.primitives:
             raise ValueError("scene needs at least one primitive")
+        if not 0 <= self.invalid_fraction < 1:
+            raise ValueError(f"invalid_fraction {self.invalid_fraction} "
+                             "is outside [0, 1)")
         for prim in self.primitives:
             if prim.kind == "plane":
                 end = prim.depth - self.forward_velocity * (frames - 1)

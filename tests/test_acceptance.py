@@ -110,6 +110,7 @@ def eval_delta1(model, rgb, depth, valid, context):
 class TestCriterion01StreamingEquivalence:
     def test_batch_equals_streaming_20_configs(self, report):
         assert len(EQUIV_CONFIGS) == 20
+        assert len(set(EQUIV_CONFIGS)) == 20
         worst = 0.0
         for c, n in EQUIV_CONFIGS:
             res = streaming_equivalence_check(c, n, seed=c * 100 + n,

@@ -123,20 +123,6 @@ class TestTrain:
         assert capsys.readouterr().err == "error: --batch must be >= 1\n"
         assert not out.exists()
 
-    def test_manifest_without_frames_is_an_error(self, pipeline, tmp_path,
-                                                 capsys):
-        data = tmp_path / "data"
-        shutil.copytree(pipeline["data"], data)
-        mpath = data / "seq000.manifest"
-        mpath.write_text("".join(
-            line for line in mpath.read_text().splitlines(keepends=True)
-            if not line.startswith("frames=")))
-        assert run("train", "--data", str(data), "--out",
-                   str(tmp_path / "out"), "--steps", "1") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'frames'" in err
-
 
 class TestInference:
     def test_stream_matches_batch(self, pipeline, tmp_path):
@@ -321,11 +307,6 @@ class TestEvalAndDrift:
         assert metrics["absrel"] >= 0.0
         assert 0.0 <= metrics["delta1"] <= 1.0
 
-    def test_eval_missing_preds_is_usage_error(self, pipeline, tmp_path):
-        assert run("eval", "--pred", str(tmp_path / "empty"), "--gt",
-                   str(pipeline["data"]), "--out",
-                   str(tmp_path / "out")) == 1
-
     def test_drift_csv(self, pipeline, preds, tmp_path):
         out = tmp_path / "drift"
         assert run("drift", "--pred", str(preds), "--gt",
@@ -377,6 +358,52 @@ class TestEvalAndDrift:
                    "--out", str(out), *command[1:]) == 1
         assert "ground-truth depth" in capsys.readouterr().err
         assert not (out / f"{command[0]}.csv").exists()
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("argv, fault, message", [
+        (("train", "--steps", "1"), "no-frames", "lacks header key 'frames'"),
+        (("stream",), "missing-frame", "missing_rgb.ppm"),
+        (("infer-batch",), "missing-frame", "missing_rgb.ppm"),
+        (("eval",), None, "missing predictions for seq000"),
+        (("drift",), None, "missing predictions for seq000"),
+        (("gen", "--velocity", "0.6", "--frames", "64", "--sequences", "3",
+          "--seed", "0"), None, "camera passes through a plane"),
+        (("gen", "--sequences", "0"), None, "--sequences must be >= 1"),
+        (("gen", "--invalid-fraction", "1.5"), None, "outside [0, 1)"),
+        (("bench", "--frames", "4"), None,
+         "--frames 4 must exceed the context 16"),
+    ], ids=["train-manifest-without-frames", "stream-missing-frame-file",
+            "infer-batch-missing-frame-file", "eval-missing-predlist",
+            "drift-missing-predlist", "gen-later-scene-through-plane",
+            "gen-no-sequences", "gen-invalid-fraction-1.5",
+            "bench-frames-within-context"])
+    def test_refused_input_leaves_no_out(self, pipeline, tmp_path, capsys,
+                                         argv, fault, message):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = data / "seq000.manifest"
+        if fault == "no-frames":
+            manifest.write_text("".join(
+                line for line in manifest.read_text().splitlines(keepends=True)
+                if not line.startswith("frames=")))
+        elif fault == "missing-frame":
+            # the first sequence is fine; the second lists a missing file
+            (data / "seq001.manifest").write_text(manifest.read_text().replace(
+                "seq000_00004_rgb.ppm", "missing_rgb.ppm"))
+        inputs = {"train": ("--data", data),
+                  "stream": ("--data", data, "--model", pipeline["ckpt"]),
+                  "infer-batch": ("--data", data,
+                                  "--model", pipeline["ckpt"]),
+                  "eval": ("--pred", data, "--gt", data),
+                  "drift": ("--pred", data, "--gt", data)}
+        out = tmp_path / "out"
+        assert run(*argv, *map(str, inputs.get(argv[0], ())),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert not out.exists()
 
 
 class TestBench:

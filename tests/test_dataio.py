@@ -188,6 +188,12 @@ class TestGenerator:
         frac = 1.0 - valid.mean()
         assert abs(frac - 0.1) < 0.02
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_invalid_fraction_outside_unit_interval_rejected(self, fraction):
+        spec = SceneSpec(seed=6, invalid_fraction=fraction)
+        with pytest.raises(ValueError, match="outside"):
+            spec.validate(4)
+
     def test_camera_through_plane_rejected(self):
         spec = SceneSpec(seed=8, forward_velocity=2.0,
                          primitives=[Primitive("plane", depth=4.0)])
