@@ -70,7 +70,7 @@ def solve_scale_shift(products, m: np.ndarray, axis=None):
     n = m.sum(axis=axis, keepdims=True)
     if (n < 2).any():
         raise DegenerateAlignment("need >= 2 valid pixels for the fit")
-    sp, spp, spg = (T.sum_(x, axis, keepdims=True) for x in products[:3])
+    sp, spp, spg = (T.sum_(x, axis) for x in products[:3])
     sg = products[3].sum(axis=axis, keepdims=True)
     det = T.sub(T.mul(spp, n), T.mul(sp, sp))
     if (np.abs(det.data) / (n * n) < 1e-12).any():

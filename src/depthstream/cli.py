@@ -89,12 +89,16 @@ def _given_model_flags(args) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _resolve_model_flags(args, cfg: ModelConfig):
+def _resolve_model_flags(args, model: DepthModel):
     """Fill every omitted model flag the command has from the model's
-    config, so the run record holds the values the run used."""
+    config, so the run record holds the values the run used, and build a
+    session with them, so the session's own checks refuse (ValueError) a
+    value the model cannot run with before --out exists."""
     for flag, field in _MODEL_FLAGS.items():
         if hasattr(args, flag) and getattr(args, flag) is None:
-            setattr(args, flag, getattr(cfg, field))
+            setattr(args, flag, getattr(model.cfg, field))
+    model.new_session(args.context, getattr(args, "caches", None),
+                      getattr(args, "precision", None))
 
 
 def cmd_train(args) -> int:
@@ -113,7 +117,7 @@ def cmd_train(args) -> int:
             return USAGE_ERROR
     else:
         model = DepthModel(ModelConfig(seed=args.seed, **given))
-    _resolve_model_flags(args, model.cfg)
+    _resolve_model_flags(args, model)
     sequences = []
     for mpath in _manifests(args.data):
         rgb, depth, valid = load_sequence(mpath)
@@ -156,7 +160,7 @@ def cmd_infer(args) -> int:
     """`stream` (through the latent cache) or `infer-batch` (one banded
     pass per sequence), as args.command says."""
     model, _ = load_checkpoint(args.model)
-    _resolve_model_flags(args, model.cfg)
+    _resolve_model_flags(args, model)
     clips = [(mpath.stem, load_sequence(mpath, stride=args.stride)[0])
              for mpath in _manifests(args.data)]
     out = _write_run_record(args)
@@ -241,7 +245,7 @@ def cmd_bench(args) -> int:
     model = load_checkpoint(args.model)[0] if args.model else DepthModel(
         ModelConfig(seed=args.seed, **_given_model_flags(args)))
     cfg = model.cfg
-    _resolve_model_flags(args, cfg)
+    _resolve_model_flags(args, model)
     n = args.frames
     warm = args.context
     # the first c frames fill the cache and are not timed
@@ -385,8 +389,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    for flag in ("frames", "steps", "batch", "sequences"):
-        if getattr(args, flag, 1) < 1:
+    # train leaves --height/--width None when they are omitted
+    for flag in ("frames", "steps", "batch", "sequences", "height", "width"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             print(f"error: --{flag} must be >= 1", file=sys.stderr)
             return USAGE_ERROR
     try:

@@ -125,8 +125,10 @@ def generate_sequence(spec: SceneSpec, frames: int, resolution):
     validity masks [N, H, W]. Deterministic given the spec seed."""
     if frames < 1:
         raise ValueError("need at least one frame")
-    spec.validate(frames)
     h, w = resolution
+    if h < 1 or w < 1:
+        raise ValueError(f"resolution {h}x{w} needs both sides >= 1")
+    spec.validate(frames)
     rng = np.random.default_rng(spec.seed)
     xx, yy = _pixel_rays(h, w)
     rgbs, depths, valids = [], [], []

@@ -46,10 +46,12 @@ class ModelConfig:
     fusion_factors: tuple = (4, 2, 1, 0.5)
 
     def __post_init__(self):
+        small = [f.name for f in fields(self) if f.type == "int"
+                 and f.name != "seed" and getattr(self, f.name) < 1]
+        if small:
+            raise ValueError(f"{', '.join(small)} must be >= 1")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ValueError("height/width must be divisible by patch size")
-        if self.context < 1 or self.num_motion_modules < 1:
-            raise ValueError("context and module count must be >= 1")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {list(_DTYPES)}")
 
@@ -182,7 +184,7 @@ class DepthModel:
     def head_forward_batch(self, features: np.ndarray,
                            context: int | None = None) -> Tensor:
         """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask."""
-        feats = T.constant(np.asarray(features, dtype=np.float32))
+        feats = np.asarray(features, dtype=np.float32)
         n = feats.shape[0]
         c = self.cfg.context if context is None else context
         if c > self.cfg.context:
@@ -254,8 +256,7 @@ class StreamingSession:
         saved = [bank._entries.copy() for bank in self.banks]
         try:
             # one frame, token-major [S, 1, C]: the attention kernel's layout
-            h = T.linear(T.constant(feats[:, None]), self.model.w_in,
-                         self.model.b_in)
+            h = T.linear(feats[:, None], self.model.w_in, self.model.b_in)
             for blk, folded, bank in zip(self.model.blocks, self.folded,
                                          self.banks):
                 h = blk.forward(h)
@@ -314,7 +315,7 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
         cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
         try:
             cfg = ModelConfig(**cfg)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"bad checkpoint config: {e}") from None
         head, encoder = _layout(cfg)
         shapes = [shape for shape, _, _ in head + encoder]

@@ -189,7 +189,7 @@ def attend_streaming(current: Tensor, window, weights: FoldedWeights):
     if w > context:
         raise ValueError(f"window {w} exceeds context {context}")
     # newest first, a view: the stream's key products are then per age
-    return _attend(current, T.constant(window[::-1].transpose(1, 0, 2)),
+    return _attend(current, T.Tensor(window[::-1].transpose(1, 0, 2)),
                    context, weights)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "Tape",
     "NonFiniteError",
     "ShapeError",
-    "constant",
     "matmul",
     "bmm",
     "softmax_rows",
@@ -53,6 +52,7 @@ class ShapeError(ValueError):
 _active_tape: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "active_tape", default=None)
 _NATIVE_FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+_BASIC = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
 @contextlib.contextmanager
@@ -85,10 +85,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 class Tape:
@@ -251,16 +247,12 @@ def relu(a) -> Tensor:
     return _finish(out, (a,), back)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
+    """Sum over axis, keeping it; with no axis, to shape [1]."""
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape),)
-
-    return _finish(np.atleast_1d(out), (a,), back)
+    out = np.atleast_1d(a.data.sum(axis=axis, keepdims=axis is not None))
+    return _finish(out, (a,), lambda g: (
+        g.reshape(()) if a.data.ndim == 0 else np.broadcast_to(g, a.shape),))
 
 
 def weighted_abs_sum(x, w: np.ndarray) -> Tensor:
@@ -401,18 +393,20 @@ def transpose(x, axes) -> Tensor:
 
 
 def getitem(x, idx) -> Tensor:
+    """x.data[idx] as a view, for a basic index only: ints, slices,
+    Ellipsis, None or a tuple of these (IndexError for any other)."""
     x = _as_tensor(x)
-    out = x.data[idx]
-    # a view means a basic index, which selects each element at most once
-    scatter = (np.ndarray.__setitem__ if np.may_share_memory(out, x.data)
-               else np.add.at)
+    key = idx if isinstance(idx, tuple) else (idx,)
+    if not all(isinstance(i, _BASIC) and type(i) is not bool for i in key):
+        raise IndexError(f"getitem takes a basic index, got {idx!r}")
+    key += () if Ellipsis in key else (...,)  # one element: a 0-d view
 
     def back(g):
         full = np.zeros_like(x.data)
-        scatter(full, idx, g)
+        full[key] = g  # a basic index selects each element once
         return (full,)
 
-    return _finish(np.array(out, copy=True), (x,), back)
+    return _finish(x.data[key], (x,), back)
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:

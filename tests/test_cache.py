@@ -45,7 +45,10 @@ class TestFeatureCache:
             c.push_evict(1, lat(1))
 
     @pytest.mark.parametrize("precision,value", [
-        ("fp32", np.nan), ("fp32", np.inf), ("fp16", 7e4)])
+        ("fp32", np.nan), ("fp32", np.inf),
+        # the cast to fp16 overflows on purpose, and numpy warns
+        pytest.param("fp16", 7e4, marks=pytest.mark.filterwarnings(
+            "ignore::RuntimeWarning"))])
     def test_non_finite_rejected_before_evicting(self, precision, value):
         # 7e4 is finite in fp32 but overflows fp16's 65504
         c = CacheBank(2, 1, precision)

@@ -209,8 +209,17 @@ class TestInference:
             sizes[prec] = int(line.split("cache bytes=")[1])
         assert sizes["fp16"] * 2 == sizes["fp32"]
 
-    @pytest.mark.parametrize("command", ["stream", "infer-batch", "bench"])
-    @pytest.mark.parametrize("weight", ["block1.w1", "encoder.weight"])
+    # an inf encoder weight gives inf features, which stream and bench
+    # refuse before any op runs; the other cases carry the inf into an op,
+    # and numpy warns on the way to the refusal
+    @pytest.mark.parametrize("weight, command", [
+        pytest.param(weight, command, id=f"{weight}-{command}",
+                     marks=pytest.mark.filterwarnings(
+                         "ignore::RuntimeWarning")
+                     if weight == "block1.w1" or command == "infer-batch"
+                     else ())
+        for weight in ("block1.w1", "encoder.weight")
+        for command in ("stream", "infer-batch", "bench")])
     def test_non_finite_weight_is_an_error_not_a_nan_output(
             self, pipeline, tmp_path, capsys, command, weight):
         model, extra = load_checkpoint(pipeline["ckpt"])
@@ -373,11 +382,23 @@ class TestRefusedInput:
         (("gen", "--invalid-fraction", "1.5"), None, "outside [0, 1)"),
         (("bench", "--frames", "4"), None,
          "--frames 4 must exceed the context 16"),
+        (("infer-batch", "--context", "5"), None,
+         "context cannot exceed the model's position table"),
+        (("stream", "--caches", "0"), None, "modulus must be >= 1"),
+        (("bench", "--caches", "0"), None, "cache_modulus must be >= 1"),
+        (("train", "--steps", "1", "--caches", "0"), None,
+         "cache_modulus must be >= 1"),
+        (("train", "--steps", "1", "--height", "0"), None,
+         "--height must be >= 1"),
+        (("gen", "--height", "0"), None, "--height must be >= 1"),
+        (("gen", "--width", "-1"), None, "--width must be >= 1"),
     ], ids=["train-manifest-without-frames", "stream-missing-frame-file",
             "infer-batch-missing-frame-file", "eval-missing-predlist",
             "drift-missing-predlist", "gen-later-scene-through-plane",
             "gen-no-sequences", "gen-invalid-fraction-1.5",
-            "bench-frames-within-context"])
+            "bench-frames-within-context", "infer-batch-context-5",
+            "stream-caches-0", "bench-caches-0", "train-caches-0",
+            "train-height-0", "gen-height-0", "gen-width--1"])
     def test_refused_input_leaves_no_out(self, pipeline, tmp_path, capsys,
                                          argv, fault, message):
         data = tmp_path / "data"

@@ -204,6 +204,11 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_sequence(SceneSpec(seed=0), 0, (4, 4))
 
+    @pytest.mark.parametrize("resolution", [(0, 4), (4, 0), (-1, 4)])
+    def test_side_below_one_rejected(self, resolution):
+        with pytest.raises(ValueError, match="sides >= 1"):
+            generate_sequence(SceneSpec(seed=0), 2, resolution)
+
     def test_uncovered_frame_rejected(self):
         spec = SceneSpec(seed=9, primitives=[
             Primitive("sphere", center=(0.0, 0.0, 5.0), radius=0.5)])

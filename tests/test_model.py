@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 import threading
 
 import numpy as np
@@ -196,13 +198,15 @@ class TestSession:
 class TestNonFiniteState:
     """A NaN or Inf never enters a cache bank: push_evict refuses it. A
     raise anywhere in a stream step leaves every bank and t as they were,
-    so the session streams on."""
+    so the session streams on. A case that injects an overflow or Inf on
+    purpose ignores numpy's RuntimeWarning on the way to the refusal."""
 
     @staticmethod
     def assert_banks_finite(session):
         for bank in session.banks:
             assert np.isfinite(bank.window()).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fp16_overflow_leaves_every_bank_empty(self, model, cfg):
         # |h| > 65504 is finite in fp32 but inf once cast to fp16
         model.motions[0].ln_gain.data = model.motions[0].ln_gain.data * 1e5
@@ -214,6 +218,7 @@ class TestNonFiniteState:
         s32 = model.new_session(precision="fp32")
         assert np.isfinite(s32.head_forward_stream(frame)).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("modulus", [1, 2])
     def test_overflowing_frame_leaves_the_session_intact(self, model, cfg,
                                                          modulus):
@@ -263,8 +268,11 @@ class TestNonFiniteState:
             got.append(session.head_forward_stream(f))
         np.testing.assert_array_equal(np.stack(got), want)
 
-    @pytest.mark.parametrize("fault", ["fp16_overflow", "huge_frame",
-                                       "inf_block1_b1", "inf_w_out"])
+    @pytest.mark.parametrize("fault", [
+        pytest.param(fault, marks=pytest.mark.filterwarnings(
+            "ignore::RuntimeWarning"))
+        for fault in ("fp16_overflow", "huge_frame", "inf_block1_b1")]
+        + ["inf_w_out"])
     def test_no_bank_holds_a_non_finite_value_after_a_raise(self, model, cfg,
                                                             fault):
         precision = "fp32"
@@ -333,6 +341,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_zero_patch_size_rejected(self, model, tmp_path):
+        # a ValueError, not the ZeroDivisionError of the divisibility check
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        config = json.loads(raw[12:12 + n])
+        config["patch_size"] = 0
+        blob = json.dumps(config).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + n:])
+        with pytest.raises(ValueError, match="patch_size must be >= 1"):
+            load_checkpoint(path)
+
     def test_truncated_rejected(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
@@ -378,6 +400,19 @@ class TestConfigValidation:
     def test_unknown_precision_rejected_at_config(self):
         with pytest.raises(ValueError, match="precision"):
             ModelConfig(precision="fp8")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", [
+        "height", "width", "patch_size", "encoder_channels", "head_channels",
+        "num_motion_modules", "context", "cache_modulus"])
+    def test_int_field_below_one_rejected(self, field, value):
+        # refused before the divisibility check, which would divide by a
+        # zero patch size
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            ModelConfig(**{field: value})
+
+    def test_seed_may_be_below_one(self):
+        assert ModelConfig(seed=-1).seed == -1
 
     @pytest.mark.parametrize("context", [0, -2])
     def test_batch_context_below_one_rejected(self, model, cfg, context):

@@ -141,8 +141,8 @@ class TestAttendBatchMasked:
             attend_batch_masked(Tensor(seq), band, fold(make_params()))
 
     def test_no_fancy_index_in_either_mode(self, monkeypatch):
-        # the kernel moves scores and weights by skew and reversed slices;
-        # a fancy index would scatter with np.add.at in the backward
+        # the kernel moves scores and weights by skew and reversed slices,
+        # so each index it takes is basic and reads a view
         getitem = T.getitem
 
         def basic_only(x, idx):

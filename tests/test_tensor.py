@@ -204,11 +204,16 @@ class TestBackward:
     ], ids=["slice_from_1", "slice_to_-1", "int", "numpy_int", "ellipsis",
             "newaxis_int_step", "repeated_rows", "repeated_element"])
     def test_getitem_grad_scatters_each_use(self, idx):
-        # basic indices assign, fancy ones accumulate: both must equal
-        # adding g into zeros once per use of an element
+        # a basic index selects each element once, so its gradient is g
+        # added into zeros once per use; an index that could select one
+        # element twice (an array) is refused
         data = np.random.default_rng(0).normal(size=(4, 5)).astype(
             np.float32)
         x = Tensor(data, requires_grad=True)
+        if not np.may_share_memory(data[idx], data):
+            with pytest.raises(IndexError):
+                x[idx]
+            return
         g = np.random.default_rng(1).normal(size=data[idx].shape).astype(
             np.float32)
         with Tape() as tape:
@@ -218,6 +223,54 @@ class TestBackward:
         assert x.grad.dtype == expected.dtype
         np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("idx", [
+        slice(1, 3), slice(2, 2), 1, np.int64(-1), np.intp(0), (1, 2),
+        (np.int32(0), -1), Ellipsis, (Ellipsis, 0), (None, slice(None), 1),
+        (slice(None, None, -1), slice(1, None, 2)), (),
+    ], ids=["slice", "empty_slice", "int", "numpy_int", "numpy_intp",
+            "one_element", "numpy_int_pair", "ellipsis", "ellipsis_int",
+            "newaxis", "reversed_step", "empty_tuple"])
+    def test_basic_index_is_a_view(self, idx):
+        # decided from the index, so an empty slice is a view too
+        data = np.arange(20.0, dtype=np.float32).reshape(4, 5).copy()
+        out = Tensor(data)[idx]
+        np.testing.assert_array_equal(out.data, data[idx])
+        assert out.data.ndim == np.ndim(data[idx])
+        assert out.data.base is data
+        assert np.shares_memory(out.data, data) or out.data.size == 0
+
+    @pytest.mark.parametrize("idx", [
+        [0, 1], np.array([0, 2]), np.array([True, False, True, False]),
+        True, (0, [1, 2]), (slice(None), np.array([1])),
+        np.bool_(True),
+    ], ids=["list", "int_array", "bool_array", "bool", "tuple_with_list",
+            "tuple_with_array", "numpy_bool"])
+    def test_other_indexes_raise(self, idx):
+        x = Tensor(np.zeros((4, 5)), requires_grad=True)
+        with pytest.raises(IndexError, match="basic index"):
+            x[idx]
+
+    def test_sum_keeps_the_axis_it_sums(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            per_row = T.sum_(x, (1, 2))
+            total = T.sum_(x)
+            tape.backward(T.add(T.sum_(T.mul(per_row, 2.0)), total))
+        assert per_row.shape == (2, 1, 1) and total.shape == (1,)
+        np.testing.assert_array_equal(per_row.data,
+                                      x.data.sum((1, 2), keepdims=True))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3, 4), 3.0))
+
+    def test_sum_of_one_element_scatters_to_it(self):
+        # x[1, 2] is a 0-d view; sum_ takes it to shape [1] and back
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            total = T.sum_(x[1, 2])
+            tape.backward(total)
+        np.testing.assert_array_equal(total.data, [6.0])
+        expected = np.zeros((3, 4))
+        expected[1, 2] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
 
     def test_intermediate_grad_stays_none(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
