@@ -224,7 +224,9 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
 def scale_drift_curve(sequences, window: int = 4) -> DriftCurve:
     """Mean |s_0 - s_j| / s_0 per frame index over all (pred, depth,
     valid) sequences that reach that index, plus the data-support
-    counts."""
+    counts. window is the moving average's width (1: none)."""
+    if window < 1:
+        raise ValueError(f"smoothing window must be >= 1, got {window}")
     per_seq: list[np.ndarray] = []
     for seq in sequences:
         pred, depth, valid = _sequence(*seq)

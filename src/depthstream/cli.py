@@ -390,7 +390,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     # train leaves --height/--width None when they are omitted
-    for flag in ("frames", "steps", "batch", "sequences", "height", "width"):
+    for flag in ("frames", "steps", "batch", "sequences", "height", "width",
+                 "smooth"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             print(f"error: --{flag} must be >= 1", file=sys.stderr)
             return USAGE_ERROR

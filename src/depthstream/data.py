@@ -321,14 +321,20 @@ def load_sequence(manifest_path, stride: int = 1):
     """Load every stride-th frame starting at 0.
 
     Returns (rgb [N, H, W, 3] float32 in [0, 1], depth [N, H, W],
-    valid [N, H, W] bool)."""
+    valid [N, H, W] bool); ValueError for a map that is not the
+    manifest's height x width."""
     if stride not in (1, 2, 3, 4):
         raise ValueError("stride must be in {1, 2, 3, 4}")
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    rgbs, depths, valids = [], [], []
-    for rgb_p, depth_p, valid_p in manifest.entries[::stride]:
-        rgbs.append(read_ppm(base / rgb_p).astype(np.float32) / 255.0)
-        depths.append(read_pfm(base / depth_p))
-        valids.append(read_pfm(base / valid_p) > 0.5)
-    return np.stack(rgbs), np.stack(depths), np.stack(valids)
+    size = (manifest.height, manifest.width)
+    maps = []
+    for entry in manifest.entries[::stride]:
+        for read, name in zip((read_ppm, read_pfm, read_pfm), entry):
+            maps.append(read(base / name))
+            if maps[-1].shape[:2] != size:
+                raise ValueError(
+                    f"{name} is {maps[-1].shape[0]}x{maps[-1].shape[1]}, but "
+                    f"manifest {manifest_path} says {size[0]}x{size[1]}")
+    rgb, depth, valid = (np.stack(maps[i::3]) for i in range(3))
+    return rgb.astype(np.float32) / 255.0, depth, valid > 0.5

@@ -183,17 +183,21 @@ class DepthModel:
 
     def head_forward_batch(self, features: np.ndarray,
                            context: int | None = None) -> Tensor:
-        """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask."""
+        """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask.
+        The head runs token-major, [S, N, C], up to the readout."""
         feats = np.asarray(features, dtype=np.float32)
-        n = feats.shape[0]
-        c = self.cfg.context if context is None else context
-        if c > self.cfg.context:
-            raise ValueError("context cannot exceed the model's position table")
-        h = T.linear(feats, self.w_in, self.b_in)
+        cfg = self.cfg
+        if feats.ndim != 3 or len(feats) < 1 or \
+                feats.shape[1:] != (cfg.tokens, cfg.encoder_channels):
+            raise ValueError(f"batch pass takes features [N >= 1, {cfg.tokens}"
+                             f", {cfg.encoder_channels}], got {feats.shape}")
+        c = cfg.context if context is None else context
+        # a view of the constant features: no tape node
+        h = T.linear(feats.transpose(1, 0, 2), self.w_in, self.b_in)
         for blk, mm in zip(self.blocks, self.motions):
             h = blk.forward(h)
             h = motion_module_forward_batch(h, c, fold(mm))
-        return self._readout(h, n)
+        return self._readout(T.transpose(h, (1, 0, 2)), len(feats))
 
     def forward_batch(self, rgb_seq: np.ndarray,
                       context: int | None = None) -> np.ndarray:

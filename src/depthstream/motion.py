@@ -7,13 +7,14 @@ more than c. Both run one banded attention kernel, so for m = 1 their
 outputs agree frame for frame. Latents enter the cache after layer norm but
 before positional encoding; ages are window-relative (age 0 = current frame)
 and fold into the scores and context, as the encoding is added before the
-key and value projections. The softmax runs per age, over at most band
-columns. In batch the kernel moves the key products to per-age columns,
-and the weights back to per-key ones, by the relative shift ("skew") of
-Music Transformer (T.unskew, T.skew); the stream hands it the window
-newest first, so there a key's column is its age. It reads a module's
-weights through fold, which takes their fixed products once: per batch
-pass, or once per streaming session.
+key and value projections. Both modes run token-major, [S, N, C] (N = 1 in
+the stream); the head's batch pass converts to frame-major once, at its
+readout. The softmax runs per age, over at most band columns. In batch the
+kernel moves the key products to per-age columns, and the weights back to
+per-key ones, by the relative shift ("skew") of Music Transformer
+(T.unskew, T.skew); the stream hands it the window newest first, so there
+a key's column is its age. It reads a module's weights through fold, which
+takes their fixed products once: per batch pass, or once per session.
 """
 
 from __future__ import annotations
@@ -195,19 +196,18 @@ def attend_streaming(current: Tensor, window, weights: FoldedWeights):
 
 def attend_batch_masked(seq: Tensor, band: int,
                         weights: FoldedWeights) -> Tensor:
-    """Banded masked attention over an [N, S, C] sequence: the stream's
-    kernel with every frame as a query, key k visible to query q iff
-    0 <= q - k < band (ValueError unless 1 <= band <= context)."""
+    """Banded masked attention over a token-major [S, N, C] sequence: the
+    stream's kernel with every frame as a query, key k visible to query q
+    iff 0 <= q - k < band (ValueError unless 1 <= band <= context)."""
     context = weights.pe_table.shape[0]
     if not 1 <= band <= context:
         raise ValueError(f"band must be in 1..{context}, got {band}")
-    tokens = T.transpose(seq, (1, 0, 2))  # [S, N, C]
-    return T.transpose(_attend(tokens, tokens, band, weights), (1, 0, 2))
+    return _attend(seq, seq, band, weights)
 
 
 def motion_module_forward_batch(x: Tensor, band: int,
                                 weights: FoldedWeights) -> Tensor:
-    """Pre-norm temporal attention with residual, batch mode. [N, S, C]."""
+    """Pre-norm temporal attention with residual, batch mode. [S, N, C]."""
     h = T.layer_norm(x, weights.ln_gain, weights.ln_bias)
     return T.add(x, attend_batch_masked(h, band, weights))
 

@@ -443,6 +443,12 @@ class TestDriftCurve:
         curve = scale_drift_curve([seq], window=1)
         np.testing.assert_array_equal(curve.drift, curve.raw_drift)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_smoothing_window_below_one_rejected(self, window):
+        seq = self.setup_seq(np.random.default_rng(12), lambda i: 1.0)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            scale_drift_curve([seq], window=window)
+
     def test_no_sequences_rejected(self):
         with pytest.raises(ValueError, match="no sequences"):
             scale_drift_curve([])

@@ -392,13 +392,17 @@ class TestRefusedInput:
          "--height must be >= 1"),
         (("gen", "--height", "0"), None, "--height must be >= 1"),
         (("gen", "--width", "-1"), None, "--width must be >= 1"),
+        (("stream",), "wrong-size", "says 64x5"),
+        (("drift", "--smooth", "0"), None, "--smooth must be >= 1"),
+        (("drift", "--smooth", "-3"), None, "--smooth must be >= 1"),
     ], ids=["train-manifest-without-frames", "stream-missing-frame-file",
             "infer-batch-missing-frame-file", "eval-missing-predlist",
             "drift-missing-predlist", "gen-later-scene-through-plane",
             "gen-no-sequences", "gen-invalid-fraction-1.5",
             "bench-frames-within-context", "infer-batch-context-5",
             "stream-caches-0", "bench-caches-0", "train-caches-0",
-            "train-height-0", "gen-height-0", "gen-width--1"])
+            "train-height-0", "gen-height-0", "gen-width--1",
+            "stream-manifest-size", "drift-smooth-0", "drift-smooth--3"])
     def test_refused_input_leaves_no_out(self, pipeline, tmp_path, capsys,
                                          argv, fault, message):
         data = tmp_path / "data"
@@ -412,6 +416,10 @@ class TestRefusedInput:
             # the first sequence is fine; the second lists a missing file
             (data / "seq001.manifest").write_text(manifest.read_text().replace(
                 "seq000_00004_rgb.ppm", "missing_rgb.ppm"))
+        elif fault == "wrong-size":
+            # the frames are 32x32
+            manifest.write_text(manifest.read_text().replace(
+                "height=32", "height=64").replace("width=32", "width=5"))
         inputs = {"train": ("--data", data),
                   "stream": ("--data", data, "--model", pipeline["ckpt"]),
                   "infer-batch": ("--data", data,

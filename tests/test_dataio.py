@@ -269,6 +269,28 @@ class TestManifestAndSequenceIo:
         step2 = d2[0] - d2[1]
         np.testing.assert_allclose(step2, 2 * step1, atol=1e-5)
 
+    def test_manifest_size_checked_against_frames(self, saved):
+        mpath, *_ = saved
+        mpath.write_text(mpath.read_text().replace(
+            "height=8", "height=64").replace("width=8", "width=5"))
+        with pytest.raises(ValueError, match=r"is 8x8, but manifest .*"
+                           r"seq\.manifest says 64x5"):
+            load_sequence(mpath)
+
+    @pytest.mark.parametrize("kind", ["rgb", "depth", "valid"])
+    def test_map_of_another_size_rejected(self, saved, kind):
+        mpath, rgb, depth, valid = saved
+        slot = ("rgb", "depth", "valid").index(kind)
+        name = read_manifest(mpath).entries[5][slot]
+        if kind == "rgb":
+            write_ppm(mpath.parent / name, rgb[5][:, :-1])
+        else:
+            full = depth[5] if kind == "depth" else valid[5].astype(np.float32)
+            write_pfm(mpath.parent / name, full[:, :-1])
+        with pytest.raises(ValueError, match=f"{name} is 8x7, but manifest "
+                           r".*seq\.manifest says 8x8"):
+            load_sequence(mpath)
+
     def test_bad_stride_rejected(self, saved):
         with pytest.raises(ValueError):
             load_sequence(saved[0], stride=5)

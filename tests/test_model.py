@@ -106,6 +106,31 @@ class TestBatchForward:
         assert out.shape == (2, cfg.height, cfg.width)
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("shape", [(3, 15, 8), (3, 16, 7), (0, 16, 8),
+                                       (16, 8), (1, 3, 16, 8)])
+    def test_malformed_features_refused_before_any_op(self, model, shape):
+        with Tape() as tape:
+            with pytest.raises(ValueError,
+                               match=r"features \[N >= 1, 16, 8\]"):
+                model.head_forward_batch(np.zeros(shape, dtype=np.float32))
+        assert len(tape) == 0
+
+    def test_batch_pass_turns_frame_major_once(self, model, cfg,
+                                               monkeypatch):
+        # token-major from the input projection on: besides each fold's
+        # (1, 0) and each kernel's key product, one transpose, at the
+        # readout
+        transpose, axes = T.transpose, []
+
+        def record(x, ax):
+            axes.append(tuple(ax))
+            return transpose(x, ax)
+
+        monkeypatch.setattr(T, "transpose", record)
+        feats = model.encoder.encode_sequence(rand_rgb(5, cfg, seed=6))
+        model.head_forward_batch(feats)
+        assert axes == [(1, 0), (0, 2, 1)] * 2 + [(1, 0, 2)]
+
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("n_kind", ["one", "c_minus_1", "c", "c_plus_5",
@@ -426,7 +451,7 @@ class TestConfigValidation:
 
     def test_batch_context_capped_by_table(self, model, cfg):
         feats = model.encoder.encode_sequence(rand_rgb(3, cfg, seed=15))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="band"):
             model.head_forward_batch(feats, context=cfg.context + 1)
 
     def test_batch_tape_does_not_grow_with_frames(self, model, cfg):

@@ -32,6 +32,11 @@ def frame(latent):
     return Tensor(latent[:, None])
 
 
+def token_major(seq):
+    """An [N, S, C] sequence in the batch kernel's layout [S, N, C]."""
+    return Tensor(seq.transpose(1, 0, 2))
+
+
 def dense_attention_oracle(seq, params, band=None):
     """Brute-force causal-banded attention without any caching: dense
     per-token computation straight from the definition, keys and values
@@ -93,10 +98,9 @@ class TestAttendBatchMasked:
         # fewer frames than the band, as many, and more
         params = make_params(channels=8, context=4, seed=21)
         seq = rand_latents(n, 4, 8, seed=22)
-        got = attend_batch_masked(Tensor(seq), band, fold(params)).data
-        np.testing.assert_allclose(got, dense_attention_oracle(seq, params,
-                                                               band=band),
-                                   atol=1e-5)
+        got = attend_batch_masked(token_major(seq), band, fold(params)).data
+        dense = dense_attention_oracle(seq, params, band=band)
+        np.testing.assert_allclose(got, dense.transpose(1, 0, 2), atol=1e-5)
 
     def test_softmax_runs_over_ages_not_keys(self, monkeypatch):
         # 9 frames under band 3: a row holds the 3 ages, not the 9 keys
@@ -107,17 +111,31 @@ class TestAttendBatchMasked:
             return softmax(x)
 
         monkeypatch.setattr(T, "softmax_rows", record)
-        attend_batch_masked(Tensor(rand_latents(9, 4, 8, seed=33)), 3,
+        attend_batch_masked(token_major(rand_latents(9, 4, 8, seed=33)), 3,
                             fold(make_params()))
         assert shapes == [(4, 9, 3)]
+
+    def test_only_the_key_product_transposes(self, monkeypatch):
+        # the batch kernel takes the stream's token-major layout, so it
+        # turns no activation around; fold's transposes come before
+        transpose, axes = T.transpose, []
+
+        def record(x, ax):
+            axes.append(tuple(ax))
+            return transpose(x, ax)
+
+        weights = fold(make_params())
+        monkeypatch.setattr(T, "transpose", record)
+        attend_batch_masked(token_major(rand_latents(6, 4, 8, seed=34)), 3,
+                            weights)
+        assert axes == [(0, 2, 1)]
 
     def test_single_frame_equals_streaming(self):
         params = make_params()
         seq = rand_latents(1, 4, 8, seed=9)
-        batch = attend_batch_masked(Tensor(seq), 4, fold(params))
+        batch = attend_batch_masked(token_major(seq), 4, fold(params))
         stream = attend_streaming(frame(seq[0]), [seq[0]], fold(params))
-        np.testing.assert_allclose(batch.data[0], stream.data[:, 0],
-                                   atol=1e-7)
+        np.testing.assert_array_equal(batch.data, stream.data)
 
     def test_wide_band_is_plain_causal(self):
         # a band wider than the position table raises, as an oversized
@@ -127,18 +145,17 @@ class TestAttendBatchMasked:
         seq = rand_latents(5, 4, 8, seed=10)
         for band in (9, 10 ** 6):
             with pytest.raises(ValueError, match="band"):
-                attend_batch_masked(Tensor(seq), band, fold(params))
-        wide = attend_batch_masked(Tensor(seq), 8, fold(params)).data
-        np.testing.assert_allclose(wide, dense_attention_oracle(seq, params,
-                                                                band=5),
-                                   atol=1e-5)
+                attend_batch_masked(token_major(seq), band, fold(params))
+        wide = attend_batch_masked(token_major(seq), 8, fold(params)).data
+        dense = dense_attention_oracle(seq, params, band=5)
+        np.testing.assert_allclose(wide, dense.transpose(1, 0, 2), atol=1e-5)
 
     @pytest.mark.parametrize("band", [0, -2])
     def test_band_below_one_rejected(self, band):
         # band 0 would mask nothing and let every frame see the future
         seq = rand_latents(4, 2, 8, seed=10)
         with pytest.raises(ValueError, match="band"):
-            attend_batch_masked(Tensor(seq), band, fold(make_params()))
+            attend_batch_masked(token_major(seq), band, fold(make_params()))
 
     def test_no_fancy_index_in_either_mode(self, monkeypatch):
         # the kernel moves scores and weights by skew and reversed slices,
@@ -154,7 +171,7 @@ class TestAttendBatchMasked:
         params = make_params(channels=8, context=4, seed=11, trainable=True)
         seq = rand_latents(6, 4, 8, seed=12)
         with T.Tape() as tape:
-            out = attend_batch_masked(Tensor(seq), 3, fold(params))
+            out = attend_batch_masked(token_major(seq), 3, fold(params))
             tape.backward(T.sum_(T.mul(out, out)))
         assert params.pe_table.grad is not None
         attend_streaming(frame(seq[2]), list(seq[:3]), fold(params))
@@ -162,7 +179,7 @@ class TestAttendBatchMasked:
     def test_per_frame_equals_streaming_pipeline(self):
         params = make_params(channels=8, context=4, seed=11)
         seq = rand_latents(6, 4, 8, seed=12)
-        batch = attend_batch_masked(Tensor(seq), 4, fold(params)).data
+        batch = attend_batch_masked(token_major(seq), 4, fold(params)).data
         window: list[np.ndarray] = []
         for q in range(6):
             window.append(seq[q])
@@ -170,7 +187,7 @@ class TestAttendBatchMasked:
                 window.pop(0)
             got = attend_streaming(frame(seq[q]), list(window),
                                    fold(params)).data
-            np.testing.assert_allclose(got[:, 0], batch[q], atol=1e-5)
+            np.testing.assert_allclose(got[:, 0], batch[:, q], atol=1e-5)
 
     def test_attention_rows_sum_to_one(self):
         # indirect: uniform-value window must return the value itself
@@ -189,30 +206,32 @@ class TestMotionModule:
         params = make_params()
         params.wo = Tensor(np.zeros_like(params.wo.data))
         params.bo = Tensor(np.zeros_like(params.bo.data))
-        x = Tensor(rand_latents(5, 4, 8, seed=14))
+        x = token_major(rand_latents(5, 4, 8, seed=14))
         out = motion_module_forward_batch(x, 4, fold(params))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_batch_vs_stream_equivalence(self):
         params = make_params(channels=8, context=4, seed=15)
         seq = rand_latents(8, 4, 8, seed=16)
-        batch = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
+        batch = motion_module_forward_batch(token_major(seq), 4,
+                                            fold(params)).data
         bank = CacheBank(4, 1)
         folded = fold(params)
         for t in range(8):
             got = motion_module_forward_stream(frame(seq[t]), t, bank,
                                                folded).data
-            np.testing.assert_allclose(got[:, 0], batch[t], atol=1e-5)
+            np.testing.assert_allclose(got[:, 0], batch[:, t], atol=1e-5)
 
     def test_causality(self):
         params = make_params(channels=8, context=4, seed=17)
         seq = rand_latents(6, 4, 8, seed=18)
-        base = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
+        base = motion_module_forward_batch(token_major(seq), 4,
+                                           fold(params)).data
         perturbed = seq.copy()
         perturbed[4:] += 3.0
-        out = motion_module_forward_batch(Tensor(perturbed), 4,
+        out = motion_module_forward_batch(token_major(perturbed), 4,
                                           fold(params)).data
-        np.testing.assert_allclose(out[:4], base[:4], atol=1e-6)
+        np.testing.assert_allclose(out[:, :4], base[:, :4], atol=1e-6)
 
     @staticmethod
     def _gradcheck_batch(n, band, seed):
@@ -221,7 +240,8 @@ class TestMotionModule:
         tensors = module_tensors(params)
 
         def f():
-            out = motion_module_forward_batch(Tensor(seq), band, fold(params))
+            out = motion_module_forward_batch(token_major(seq), band,
+                                              fold(params))
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)
@@ -268,13 +288,14 @@ class TestMotionModule:
         seq = rand_latents(6, 4, 8, seed=26)
 
         def outputs():
-            batch = motion_module_forward_batch(Tensor(seq), 4, fold(params)).data
+            batch = motion_module_forward_batch(token_major(seq), 4,
+                                                fold(params)).data
             bank = CacheBank(4, 1)
             folded = fold(params)
             stream = [motion_module_forward_stream(frame(seq[t]), t, bank,
-                                                   folded).data[:, 0]
+                                                   folded).data
                       for t in range(6)]
-            return batch, np.stack(stream)
+            return batch, np.concatenate(stream, axis=1)
 
         before = outputs()
         params.bk = Tensor(np.random.default_rng(27).normal(size=8))
