@@ -4,8 +4,8 @@ Latents are cached before positional encoding and before the K/V
 projections; each step the attention kernel folds the window-relative
 positions into its scores and context (see motion.py). A CacheBank is one
 FIFO of the last m * c latents, of which the attention window reads c
-spaced m frames apart, so the window spans about m * c frames at the
-attention cost of c.
+spaced m frames apart, newest first (age order), so the window spans about
+m * c frames at the attention cost of c.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ class CacheBank:
 
     While it holds at most `capacity` entries the window is all of them;
     after that it is the newest entry and every modulus-th entry before it,
-    at most `capacity` in all. For frames pushed as 0, 1, 2, ... the window
-    of frame t is 0..t for t < capacity, then t, t - m, ... (the newest
-    `capacity` of them that are >= 0).
+    at most `capacity` in all, newest first. For frames pushed as 0, 1, 2,
+    ... the window of frame t is t, t - 1, ..., 0 for t < capacity, then
+    t, t - m, ... (the first `capacity` of them that are >= 0).
     """
 
     def __init__(self, capacity: int, modulus: int = 1,
@@ -50,11 +50,14 @@ class CacheBank:
         return len(self._entries)
 
     def push_evict(self, frame_index: int, latent: np.ndarray) -> int | None:
-        """Append a latent; evict and return the oldest index when full.
-        A NaN or Inf in the bank's precision raises NonFiniteError first."""
+        """Append a latent; evict and return the oldest index when full. A
+        new shape (ValueError) or NaN/Inf in the bank's dtype raises first."""
         if self._entries and frame_index <= self._entries[-1][0]:
             raise OutOfOrderFrame(
                 f"frame {frame_index} not newer than {self._entries[-1][0]}")
+        if self._entries and latent.shape != self._entries[0][1].shape:
+            raise ValueError(f"frame {frame_index}: shape {latent.shape} "
+                             f"is not the stored {self._entries[0][1].shape}")
         stored = latent.astype(self.dtype)
         if not np.isfinite(stored).all():
             raise NonFiniteError(f"frame {frame_index}: non-finite latent")
@@ -65,14 +68,11 @@ class CacheBank:
         return evicted
 
     def window(self) -> np.ndarray:
-        """The attention window, oldest to newest, as one float32 [w, ...]
-        array (one stack and, for fp16, one upcast)."""
-        entries = self._entries
-        if len(entries) > self.capacity:
-            m, last = self.modulus, len(entries) - 1
-            entries = entries[max(last % m,
-                                  last - (self.capacity - 1) * m)::m]
-        return np.array([lat for _, lat in entries], dtype=np.float32)
+        """The attention window, newest first (age order), as one float32
+        [w, ...] array (one stack and, for fp16, one upcast)."""
+        step = self.modulus if len(self._entries) > self.capacity else 1
+        picks = self._entries[::-step][:self.capacity]
+        return np.array([lat for _, lat in picks], dtype=np.float32)
 
     def span(self) -> int:
         """Distance between the oldest and newest stored frame index."""

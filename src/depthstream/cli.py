@@ -65,7 +65,7 @@ def cmd_gen(args) -> int:
     for i, spec in enumerate(specs):
         rgb, depth, valid = generate_sequence(
             spec, args.frames, (args.height, args.width))
-        save_sequence(out, f"seq{i:03d}", rgb, depth, valid, seed=spec.seed)
+        save_sequence(out, f"seq{i:03d}", rgb, depth, valid)
     print(f"wrote {args.sequences} sequence(s) to {out}")
     return 0
 
@@ -123,12 +123,12 @@ def cmd_train(args) -> int:
         rgb, depth, valid = load_sequence(mpath)
         gt_inv = np.where(valid, 1.0 / np.maximum(depth, 1e-6), 0.0)
         sequences.append((rgb, gt_inv.astype(np.float32), valid))
-    out = _write_run_record(args)
     cfg = TrainConfig(learning_rate=args.lr, steps=args.steps,
                       batch_sequences=args.batch, cosine_schedule=args.cosine,
                       seed=args.seed)
-    trainer = Trainer(model, sequences,
-                      LossWeights(args.alpha, args.beta, args.gamma), cfg,
+    weights = LossWeights(args.alpha, args.beta, args.gamma)
+    out = _write_run_record(args)
+    trainer = Trainer(model, sequences, weights, cfg,
                       AugmentConfig(enabled=args.augment))
     trainer.step_counter = step_offset
     trainer.run(args.steps)

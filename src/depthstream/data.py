@@ -52,6 +52,8 @@ class SceneSpec:
     def validate(self, frames: int):
         if not self.primitives:
             raise ValueError("scene needs at least one primitive")
+        if not np.isfinite(self.forward_velocity):
+            raise ValueError(f"non-finite velocity {self.forward_velocity}")
         if not 0 <= self.invalid_fraction < 1:
             raise ValueError(f"invalid_fraction {self.invalid_fraction} "
                              "is outside [0, 1)")
@@ -248,8 +250,6 @@ class SequenceManifest:
     frames: int
     height: int
     width: int
-    seed: int
-    stride: int
     entries: list  # (rgb_path, depth_path, valid_path) relative to manifest
 
     def __post_init__(self):
@@ -263,8 +263,6 @@ def write_manifest(path, manifest: SequenceManifest):
         f.write(f"frames={manifest.frames}\n")
         f.write(f"height={manifest.height}\n")
         f.write(f"width={manifest.width}\n")
-        f.write(f"seed={manifest.seed}\n")
-        f.write(f"stride={manifest.stride}\n")
         for rgb, depth, valid in manifest.entries:
             f.write(f"{rgb} {depth} {valid}\n")
 
@@ -289,16 +287,13 @@ def read_manifest(path) -> SequenceManifest:
         return SequenceManifest(
             sequence_id=header["id"], frames=int(header["frames"]),
             height=int(header["height"]), width=int(header["width"]),
-            seed=int(header["seed"]), stride=int(header["stride"]),
             entries=entries)
     except KeyError as e:
         raise ValueError(f"manifest {path} lacks header key {e}") from None
 
 
-def save_sequence(out_dir, sequence_id: str, rgb, depth, valid,
-                  seed: int = 0) -> Path:
-    """Write every frame plus a manifest (stride 1); returns the manifest
-    path."""
+def save_sequence(out_dir, sequence_id: str, rgb, depth, valid) -> Path:
+    """Write every frame plus a manifest; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -311,7 +306,7 @@ def save_sequence(out_dir, sequence_id: str, rgb, depth, valid,
         write_pfm(out / names[2], valid[i].astype(np.float32))
         entries.append(names)
     manifest = SequenceManifest(sequence_id, len(rgb), rgb.shape[1],
-                                rgb.shape[2], seed, 1, entries)
+                                rgb.shape[2], entries)
     mpath = out / f"{sequence_id}.manifest"
     write_manifest(mpath, manifest)
     return mpath

@@ -35,6 +35,10 @@ class LossWeights:
     beta: float = 1.0
     gamma: float = 1.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise ValueError(f"non-finite loss weight in {self}")
+
 
 @dataclass
 class AugmentConfig:
@@ -51,6 +55,10 @@ class TrainConfig:
     cosine_schedule: bool = True
     strides: tuple = (1, 2, 3, 4)
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"non-finite learning rate {self.learning_rate}")
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:

@@ -12,9 +12,9 @@ the stream); the head's batch pass converts to frame-major once, at its
 readout. The softmax runs per age, over at most band columns. In batch the
 kernel moves the key products to per-age columns, and the weights back to
 per-key ones, by the relative shift ("skew") of Music Transformer
-(T.unskew, T.skew); the stream hands it the window newest first, so there
-a key's column is its age. It reads a module's weights through fold, which
-takes their fixed products once: per batch pass, or once per session.
+(T.unskew, T.skew); the stream's window comes newest first (age order), so
+there a key's column is its age. It reads a module's weights through fold,
+which takes their fixed products once: per batch pass, or once per session.
 """
 
 from __future__ import annotations
@@ -179,19 +179,16 @@ def _attend(query: Tensor, keys: Tensor, band: int,
 
 def attend_streaming(current: Tensor, window, weights: FoldedWeights):
     """Cached cross-attention for one frame, token-major [S, 1, C], against
-    the [w, S, C] window of stored latents, oldest to newest, whose newest
-    entry is the frame itself (cache updated before attending). Returns
-    [S, 1, C]. With w == 1 this is self-attention.
+    the [w, S, C] window of stored latents, newest first (age order), whose
+    first entry is the frame itself (cache updated before attending).
+    Returns [S, 1, C]. With w == 1 this is self-attention.
     """
     window = np.asarray(window)
     w, context = len(window), weights.pe_table.shape[0]
-    if w < 1:
-        raise ValueError("empty attention window")
-    if w > context:
-        raise ValueError(f"window {w} exceeds context {context}")
-    # newest first, a view: the stream's key products are then per age
-    return _attend(current, T.Tensor(window[::-1].transpose(1, 0, 2)),
-                   context, weights)
+    if not 1 <= w <= context:
+        raise ValueError(f"window must hold 1..{context} latents, got {w}")
+    return _attend(current, T.Tensor(window.transpose(1, 0, 2)), context,
+                   weights)
 
 
 def attend_batch_masked(seq: Tensor, band: int,

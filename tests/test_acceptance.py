@@ -329,7 +329,7 @@ class TestCriterion09ContextAblation:
         model, rgb, _, _ = trained16
         real = CacheBank.window
         monkeypatch.setattr(CacheBank, "window",
-                            lambda bank: real(bank)[-1:])
+                            lambda bank: real(bank)[:1])
         assert context_effect(model, rgb) < CONTEXT_EFFECT_MIN
 
 

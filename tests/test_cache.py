@@ -15,8 +15,8 @@ def lat(v, size=8):
 
 
 def indices(bank):
-    """Frame indices in a bank's window, read from latents filled with
-    their own index."""
+    """Frame indices in a bank's window, newest first, read from latents
+    filled with their own index."""
     return [int(w[0]) for w in bank.window()]
 
 
@@ -28,7 +28,7 @@ class TestFeatureCache:
         c = CacheBank(3, 1)
         evictions = [c.push_evict(i, lat(i)) for i in range(5)]
         assert evictions == [None, None, None, 0, 1]
-        assert indices(c) == [2, 3, 4]
+        assert indices(c) == [4, 3, 2]
 
     def test_capacity_one(self):
         c = CacheBank(1, 1)
@@ -58,18 +58,30 @@ class TestFeatureCache:
         bad[3] = value
         with pytest.raises(NonFiniteError):
             c.push_evict(2, bad)
-        assert indices(c) == [0, 1]
+        assert indices(c) == [1, 0]
         assert c.push_evict(2, lat(2)) == 0
+
+    def test_latent_of_another_shape_refused(self):
+        c = CacheBank(2, 1)
+        c.push_evict(0, np.zeros((4, 2), np.float32))
+        c.push_evict(1, np.ones((4, 2), np.float32))
+        before = c.window()
+        with pytest.raises(ValueError, match=r"shape \(5, 2\) is not the "
+                           r"stored \(4, 2\)"):
+            c.push_evict(2, np.ones((5, 2), np.float32))
+        assert len(c) == 2
+        np.testing.assert_array_equal(c.window(), before)
+        assert c.push_evict(2, np.ones((4, 2), np.float32)) == 0
 
     def test_window_order_and_snapshot(self):
         c = CacheBank(3, 1)
         for i in range(5):
             c.push_evict(i, lat(i))
         win = c.window()
-        assert [w[0] for w in win] == [2.0, 3.0, 4.0]
+        assert [w[0] for w in win] == [4.0, 3.0, 2.0]
         c.push_evict(5, lat(5))
         # snapshot is unaffected by subsequent pushes
-        assert [w[0] for w in win] == [2.0, 3.0, 4.0]
+        assert [w[0] for w in win] == [4.0, 3.0, 2.0]
 
     def test_empty_window(self):
         win = CacheBank(4).window()
@@ -114,7 +126,7 @@ class TestFeatureCache:
             footprints.append(c.memory_footprint())
         # eviction order equals insertion order
         assert evicted == pushed[:len(evicted)]
-        assert indices(c) == pushed[len(evicted):]
+        assert indices(c) == pushed[len(evicted):][::-1]
         # footprint non-decreasing until full, then constant
         grow = footprints[:capacity + 1]
         assert grow == sorted(grow)
@@ -132,7 +144,7 @@ class TestCacheBank:
         plain = collections.deque(maxlen=3)
         for i in range(10):
             bank.push_evict(i, lat(i))
-            plain.append(i)
+            plain.appendleft(i)
             assert indices(bank) == list(plain)
 
     def test_documented_routing(self):
@@ -142,8 +154,8 @@ class TestCacheBank:
         for i in range(6):
             bank.push_evict(i, lat(i))
             windows.append(indices(bank))
-        assert windows[4] == [2, 4]
-        assert windows[5] == [3, 5]
+        assert windows[4] == [4, 2]
+        assert windows[5] == [5, 3]
         assert len(bank) == 4 and bank.span() == 4
 
     def test_equally_spaced_frames_per_cache(self):
@@ -152,10 +164,10 @@ class TestCacheBank:
             bank.push_evict(i, lat(i))
             if i >= 4:
                 diffs = np.diff(indices(bank))
-                assert (diffs == 2).all()
+                assert (diffs == -2).all()
 
     def test_closed_form_schedule(self):
-        # frames 0, 1, 2, ...: window 0..t while t < c, then the c newest
+        # frames 0, 1, 2, ...: window t..0 while t < c, then the first c
         # of t, t - m, ...; the bank keeps the last m * c frames
         size = 8
         for precision, per_entry in (("fp32", 4 * size), ("fp16", 2 * size)):
@@ -166,8 +178,8 @@ class TestCacheBank:
                 for t in range(6 * m * c):
                     evicted = bank.push_evict(t, lat(t, size))
                     assert evicted == (t - m * c if t >= m * c else None)
-                    want = list(range(t + 1)) if t < c else \
-                        list(range(t, -1, -m))[:c][::-1]
+                    want = list(range(t, -1, -1)) if t < c else \
+                        list(range(t, -1, -m))[:c]
                     assert indices(bank) == want, (c, m, t)
                     assert bank.memory_footprint() == \
                         min(t + 1, m * c) * per_entry

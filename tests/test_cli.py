@@ -395,6 +395,12 @@ class TestRefusedInput:
         (("stream",), "wrong-size", "says 64x5"),
         (("drift", "--smooth", "0"), None, "--smooth must be >= 1"),
         (("drift", "--smooth", "-3"), None, "--smooth must be >= 1"),
+        (("train", "--steps", "1", "--lr", "nan"), None,
+         "non-finite learning rate nan"),
+        (("train", "--steps", "1", "--alpha", "inf"), None,
+         "non-finite loss weight in LossWeights(alpha=inf"),
+        (("gen", "--velocity", "nan"), None, "non-finite velocity nan"),
+        (("gen", "--velocity", "inf"), None, "non-finite velocity inf"),
     ], ids=["train-manifest-without-frames", "stream-missing-frame-file",
             "infer-batch-missing-frame-file", "eval-missing-predlist",
             "drift-missing-predlist", "gen-later-scene-through-plane",
@@ -402,7 +408,9 @@ class TestRefusedInput:
             "bench-frames-within-context", "infer-batch-context-5",
             "stream-caches-0", "bench-caches-0", "train-caches-0",
             "train-height-0", "gen-height-0", "gen-width--1",
-            "stream-manifest-size", "drift-smooth-0", "drift-smooth--3"])
+            "stream-manifest-size", "drift-smooth-0", "drift-smooth--3",
+            "train-lr-nan", "train-alpha-inf", "gen-velocity-nan",
+            "gen-velocity-inf"])
     def test_refused_input_leaves_no_out(self, pipeline, tmp_path, capsys,
                                          argv, fault, message):
         data = tmp_path / "data"

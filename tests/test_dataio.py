@@ -200,6 +200,13 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_sequence(spec, 10, (4, 4))
 
+    @pytest.mark.parametrize("velocity", [np.nan, np.inf])
+    def test_non_finite_velocity_rejected(self, velocity):
+        spec = SceneSpec(seed=0, forward_velocity=velocity,
+                         primitives=[Primitive("sphere")])
+        with pytest.raises(ValueError, match="non-finite velocity"):
+            spec.validate(1)
+
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError):
             generate_sequence(SceneSpec(seed=0), 0, (4, 4))
@@ -222,7 +229,7 @@ class TestManifestAndSequenceIo:
         spec = SceneSpec(seed=11, forward_velocity=0.1,
                          invalid_fraction=0.05)
         rgb, depth, valid = generate_sequence(spec, 8, (8, 8))
-        mpath = save_sequence(tmp_path, "seq", rgb, depth, valid, seed=11)
+        mpath = save_sequence(tmp_path, "seq", rgb, depth, valid)
         return mpath, rgb, depth, valid
 
     def test_manifest_roundtrip(self, saved, tmp_path):
@@ -235,8 +242,7 @@ class TestManifestAndSequenceIo:
         write_manifest(copy, manifest)
         assert read_manifest(copy) == manifest
 
-    @pytest.mark.parametrize("key", ["id", "frames", "height", "width",
-                                     "seed", "stride"])
+    @pytest.mark.parametrize("key", ["id", "frames", "height", "width"])
     def test_missing_header_key_is_a_value_error(self, saved, key):
         mpath, *_ = saved
         lines = mpath.read_text().splitlines(keepends=True)
@@ -244,6 +250,16 @@ class TestManifestAndSequenceIo:
             line for line in lines if not line.startswith(f"{key}=")))
         with pytest.raises(ValueError, match=f"'{key}'"):
             read_manifest(mpath)
+
+    def test_unknown_header_keys_ignored(self, saved):
+        # manifests written with seed= and stride= lines still load
+        mpath, _, depth, _ = saved
+        before = read_manifest(mpath)
+        mpath.write_text(mpath.read_text().replace(
+            "width=8\n", "width=8\nseed=11\nstride=1\n"))
+        assert "seed=11\nstride=1\n" in mpath.read_text()
+        assert read_manifest(mpath) == before
+        np.testing.assert_array_equal(load_sequence(mpath)[1], depth)
 
     def test_depth_and_valid_roundtrip_exact(self, saved):
         mpath, rgb, depth, valid = saved
@@ -298,5 +314,4 @@ class TestManifestAndSequenceIo:
     def test_mismatched_entry_count_rejected(self):
         from depthstream.data import SequenceManifest
         with pytest.raises(ValueError):
-            SequenceManifest("x", 2, 4, 4, 0, 1,
-                             entries=[("a", "b", "c")])
+            SequenceManifest("x", 2, 4, 4, entries=[("a", "b", "c")])

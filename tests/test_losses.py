@@ -500,6 +500,17 @@ class TestPrecision:
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_refused(self, lr):
+        with pytest.raises(ValueError, match="non-finite learning rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("weights", [(np.nan, 1, 1), (1, np.inf, 1),
+                                         (1, 1, -np.inf)])
+    def test_non_finite_loss_weight_refused(self, weights):
+        with pytest.raises(ValueError, match="non-finite loss weight"):
+            LossWeights(*weights)
+
     def test_zero_lr_keeps_parameters(self):
         model = tiny_model()
         before = [t.data.copy() for _, t in model.head_parameters()]

@@ -172,6 +172,27 @@ class TestSession:
                     * cfg.head_channels * 4)
         assert footprints[-1] == expected
 
+    @pytest.mark.parametrize("modulus", [1, 2])
+    @pytest.mark.parametrize("precision", ["fp32", "fp16"])
+    def test_stream_products_read_no_reversed_operand(
+            self, model, cfg, monkeypatch, modulus, precision):
+        # the cache hands the kernel its window newest first, so neither
+        # of the stream's products reads a view with a negative stride
+        real, strides, frames = T.bmm, [], 3 * cfg.context
+
+        def logged(a, b):
+            strides.extend(getattr(x, "data", x).strides for x in (a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(T, "bmm", logged)
+        session = model.new_session(cache_modulus=modulus,
+                                    precision=precision)
+        for f in rand_rgb(frames, cfg, seed=12):
+            session.step_rgb(f)
+        # two products of two operands per module and frame
+        assert len(strides) == 4 * cfg.num_motion_modules * frames
+        assert min(min(s) for s in strides) >= 0, strides
+
     def test_fp16_footprint_half(self, model, cfg):
         seq = rand_rgb(cfg.context, cfg, seed=11)
         s32 = model.new_session()

@@ -88,7 +88,8 @@ class TestAttendStreaming:
         params = make_params(channels=8, context=4, seed=7)
         seq = rand_latents(3, 4, 8, seed=8)
         dense = dense_attention_oracle(seq, params)
-        got = attend_streaming(frame(seq[2]), list(seq), fold(params)).data
+        got = attend_streaming(frame(seq[2]), list(seq[::-1]),
+                               fold(params)).data
         np.testing.assert_allclose(got[:, 0], dense[2], atol=1e-6)
 
 
@@ -174,17 +175,17 @@ class TestAttendBatchMasked:
             out = attend_batch_masked(token_major(seq), 3, fold(params))
             tape.backward(T.sum_(T.mul(out, out)))
         assert params.pe_table.grad is not None
-        attend_streaming(frame(seq[2]), list(seq[:3]), fold(params))
+        attend_streaming(frame(seq[2]), list(seq[2::-1]), fold(params))
 
     def test_per_frame_equals_streaming_pipeline(self):
         params = make_params(channels=8, context=4, seed=11)
         seq = rand_latents(6, 4, 8, seed=12)
         batch = attend_batch_masked(token_major(seq), 4, fold(params)).data
-        window: list[np.ndarray] = []
+        window: list[np.ndarray] = []  # newest first
         for q in range(6):
-            window.append(seq[q])
+            window.insert(0, seq[q])
             if len(window) > 4:
-                window.pop(0)
+                window.pop()
             got = attend_streaming(frame(seq[q]), list(window),
                                    fold(params)).data
             np.testing.assert_allclose(got[:, 0], batch[:, q], atol=1e-5)
@@ -263,7 +264,7 @@ class TestMotionModule:
         tensors = module_tensors(params) + [current]
 
         def f():
-            out = attend_streaming(current, list(seq), fold(params))
+            out = attend_streaming(current, list(seq[::-1]), fold(params))
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)
@@ -276,7 +277,8 @@ class TestMotionModule:
         tensors = module_tensors(params)
 
         def f():
-            out = attend_streaming(frame(seq[1]), list(seq), fold(params))
+            out = attend_streaming(frame(seq[1]), list(seq[::-1]),
+                                   fold(params))
             return T.mean_(T.mul(out, out))
 
         rep = gradcheck(f, tensors)

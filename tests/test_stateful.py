@@ -222,9 +222,9 @@ class BankMachine(RuleBasedStateMachine):
 
     @invariant()
     def window_is_the_schedule(self):
-        picks = self.stored
+        picks = self.stored[::-1]  # newest first
         if len(picks) > self.c:
-            picks = picks[::-1][::self.m][:self.c][::-1]
+            picks = picks[::self.m][:self.c]
         window = self.bank.window()
         assert window.dtype == np.float32
         np.testing.assert_array_equal(
