@@ -7,9 +7,12 @@ augmentation) under identical budget, then evaluates each with
 first-frame alignment. The training and held-out scenes are fixed by
 --seed; each of the SEEDS runs draws its own initial weights, stride
 samples and augmentation rectangles (seeds --seed .. --seed + SEEDS - 1).
-Writes one CSV row per configuration: the mean and the sample standard
-deviation of AbsRel and delta1 over the runs, so a gap between two rows
-can be read against their spread.
+Writes one CSV row per configuration with, for AbsRel and delta1 over the
+runs: the mean, the sample standard deviation and the median; the median
+of the paired per-seed difference from the untrained `none` row; and the
+number of seeds on which the configuration beats that row. Per-seed AbsRel
+is heavy-tailed, so the medians and the paired columns are the ones to
+rank rows by.
 
 Usage: python scripts/run_ablation.py --out runs/ablation.csv
 """
@@ -23,7 +26,9 @@ from depthstream.data import Primitive, SceneSpec, generate_sequence
 from depthstream.losses import TrainConfig, ablation_suite
 from depthstream.model import DepthModel, ModelConfig
 
-METRICS = ("absrel", "delta1")
+# a configuration beats `none` on a seed with a lower AbsRel or a higher
+# delta1 than `none` reached from the same initial weights
+BETTER = {"absrel": -1, "delta1": 1}
 SEEDS = 5  # training runs per configuration
 
 
@@ -36,15 +41,22 @@ def scene(seed, frames, size):
 
 
 def summarize(runs: list[list[dict]]) -> list[dict]:
-    """Per configuration, the mean and sample std of each metric over the
-    runs (each run is ablation_suite's list of rows)."""
+    """Per configuration, each metric's mean, sample std and median over
+    the runs (each run is ablation_suite's list of rows, one seed each),
+    the median of its per-seed difference from that seed's `none` row, and
+    the number of seeds on which it beats that row."""
+    base = [next(r for r in rows if r["config"] == "none") for rows in runs]
     out = []
     for rows in zip(*runs):
         summary = {"config": rows[0]["config"], "seeds": len(rows)}
-        for m in METRICS:
-            values = [r[m] for r in rows]
+        for m, sign in BETTER.items():
+            values = np.array([r[m] for r in rows])
+            diffs = values - [b[m] for b in base]
             summary[f"{m}_mean"] = float(np.mean(values))
             summary[f"{m}_std"] = float(np.std(values, ddof=1))
+            summary[f"{m}_median"] = float(np.median(values))
+            summary[f"{m}_vs_none"] = float(np.median(diffs))
+            summary[f"{m}_wins"] = int(np.sum(sign * diffs > 0))
         out.append(summary)
     return out
 
@@ -78,10 +90,10 @@ def main():
         w.writeheader()
         w.writerows(rows)
     for row in rows:
-        print(f"{row['config']:>22}: "
-              f"absrel={row['absrel_mean']:.4f}±{row['absrel_std']:.4f} "
-              f"delta1={row['delta1_mean']:.4f}±{row['delta1_std']:.4f} "
-              f"({row['seeds']} seeds)")
+        print(f"{row['config']:>22}: " + " ".join(
+            f"{m} median={row[f'{m}_median']:.4f} "
+            f"vs none {row[f'{m}_vs_none']:+.4f} "
+            f"(wins {row[f'{m}_wins']}/{row['seeds']})" for m in BETTER))
     print(f"wrote {args.out}")
 
 

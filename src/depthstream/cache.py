@@ -74,12 +74,6 @@ class CacheBank:
         picks = self._entries[::-step][:self.capacity]
         return np.array([lat for _, lat in picks], dtype=np.float32)
 
-    def span(self) -> int:
-        """Distance between the oldest and newest stored frame index."""
-        if not self._entries:
-            return 0
-        return self._entries[-1][0] - self._entries[0][0] + 1
-
     def memory_footprint(self) -> int:
         """Exact byte count of stored latents in the bank's precision."""
         return sum(lat.nbytes for _, lat in self._entries)

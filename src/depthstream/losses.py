@@ -59,6 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"non-finite learning rate {self.learning_rate}")
+        if self.learning_rate < 0:
+            raise ValueError(f"negative learning rate {self.learning_rate}")
 
 
 def _masked_mae(diff: Tensor, mask: np.ndarray) -> Tensor:

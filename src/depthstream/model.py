@@ -26,7 +26,7 @@ from .tensor import Tensor
 __all__ = ["ModelConfig", "EncoderStub", "DepthModel", "StreamingSession",
            "save_checkpoint", "load_checkpoint", "CHECKPOINT_MAGIC"]
 
-CHECKPOINT_MAGIC = b"DSTM0001"
+CHECKPOINT_MAGIC = b"DSTM0002"
 
 
 @dataclass
@@ -309,7 +309,7 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a model checkpoint (bad magic)")
+            raise ValueError(f"magic {magic!r}, not {CHECKPOINT_MAGIC!r}")
         header = f.read(4)
         if len(header) != 4:
             raise ValueError("truncated checkpoint header")

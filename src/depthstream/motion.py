@@ -74,8 +74,7 @@ class MotionModuleParams:
 
     wq: Tensor
     bq: Tensor
-    wk: Tensor
-    bk: Tensor  # kept in checkpoints; it cancels in the softmax (see _attend)
+    wk: Tensor  # no key bias: it would cancel in the softmax (see _attend)
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -94,7 +93,7 @@ class MotionModuleParams:
         def proj(scale):
             return ((c, c), "normal", scale / math.sqrt(c))
 
-        return [proj(1.0), bias, proj(1.0), bias, proj(1.0), bias,
+        return [proj(1.0), bias, proj(1.0), proj(1.0), bias,
                 proj(0.5), bias, ((c,), "ones", 0.0), bias,
                 ((context, c), "sinusoids", 0.0)]
 
@@ -149,9 +148,9 @@ def _attend(query: Tensor, keys: Tensor, band: int,
     < band. Stream (Nq = 1): query is the newest latent, and keys hold the
     window newest first, so key j has age j.
 
-    With k_j = (x_j + pe[age_j]) Wk + bk, a score is (q Wk^T).x_j +
-    (q Wk^T).pe[age_j] (q.bk is the same for every key and cancels), and
-    the context is (sum_j a_j x_j + sum_j a_j pe[age_j]) Wv + bv, so no
+    With k_j = (x_j + pe[age_j]) Wk (no key bias: q.bk would be the same
+    for every key and cancel), a score is (q Wk^T).x_j + (q Wk^T).pe[age_j]
+    and the context is (sum_j a_j x_j + sum_j a_j pe[age_j]) Wv + bv, so no
     latent is projected to K or V. The folded weights give q Wk^T and its
     product with every pe row in one map, and Wv Wo in one. The softmax
     runs per age, over [S, Nq, min(band, Nk)], so the position scores add

@@ -3,6 +3,8 @@ alignment oracle. Used by the `check` subcommand and by the test suite."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import align
@@ -11,7 +13,8 @@ from .losses import loss_sascon, loss_ssi_scene, loss_tgm
 from .model import DepthModel, ModelConfig
 from .tensor import Tensor, gradcheck
 
-__all__ = ["EQUIV_CONFIGS", "streaming_equivalence_check",
+__all__ = ["EQUIV_CONFIGS", "EQUIV_TOL", "ALIGN_TOL", "GRAD_TOL",
+           "streaming_equivalence_check",
            "brute_force_align", "alignment_oracle_check",
            "loss_gradient_check", "run_all"]
 
@@ -20,11 +23,13 @@ __all__ = ["EQUIV_CONFIGS", "streaming_equivalence_check",
 EQUIV_CONFIGS = tuple((c, n) for c in (2, 4, 8, 16)
                       for n in (1, c - 1 if c > 2 else 2 * c, c, c + 5,
                                 3 * c))
+# the gates: |batch - stream|, a fit's residual gap to the brute-force
+# minimizer, and a loss gradcheck's relative error
+EQUIV_TOL, ALIGN_TOL, GRAD_TOL = 1e-5, 1e-6, 1e-4
 
 
 def streaming_equivalence_check(c: int, n_frames: int, seed: int,
-                                band_override: int | None = None,
-                                tol: float = 1e-5) -> dict:
+                                band_override: int | None = None) -> dict:
     """Full-model batch output vs frame-by-frame streaming output.
 
     band_override widens/narrows the training mask band away from the
@@ -42,7 +47,8 @@ def streaming_equivalence_check(c: int, n_frames: int, seed: int,
     session = model.new_session(context=c)
     stream_out = np.stack([session.head_forward_stream(f) for f in feats])
     diff = float(np.max(np.abs(batch_out - stream_out)))
-    return {"c": c, "n": n_frames, "max_abs_diff": diff, "passed": diff < tol}
+    return {"c": c, "n": n_frames, "max_abs_diff": diff,
+            "passed": diff < EQUIV_TOL}
 
 
 def brute_force_align(pred, gt) -> AffineAlign:
@@ -84,8 +90,7 @@ def _residual_gap(fit: AffineAlign, p, g) -> float:
     return abs(float(r @ r) - float(rb @ rb))
 
 
-def alignment_oracle_check(trials: int = 100, seed: int = 0,
-                           tol: float = 1e-6) -> dict:
+def alignment_oracle_check(trials: int = 100, seed: int = 0) -> dict:
     """The shared closed-form fit must match the brute-force minimizer's
     residual, pooled (least_squares_align on 50 pixels) and per frame
     (align.solve_scale_shift over axis (1, 2) on a masked 2-frame stack,
@@ -106,12 +111,13 @@ def alignment_oracle_check(trials: int = 100, seed: int = 0,
         gaps["per_frame"] = max([gaps["per_frame"]] + [_residual_gap(
             AffineAlign(s.data[f].item(), t.data[f].item()), p[f][m[f]],
             g[f][m[f]]) for f in range(len(p))])
-    res = {k: {"worst_gap": v, "passed": v < tol} for k, v in gaps.items()}
+    res = {k: {"worst_gap": v, "passed": v < ALIGN_TOL}
+           for k, v in gaps.items()}
     return {"worst_gap": max(gaps.values()),
-            "passed": max(gaps.values()) < tol, **res}
+            "passed": max(gaps.values()) < ALIGN_TOL, **res}
 
 
-def loss_gradient_check(seed: int = 0, tol: float = 1e-4) -> dict:
+def loss_gradient_check(seed: int = 0) -> dict:
     """Gradcheck every loss on a small seeded two-frame instance."""
     rng = np.random.default_rng(seed)
     n, h, w = 2, 3, 4
@@ -119,14 +125,9 @@ def loss_gradient_check(seed: int = 0, tol: float = 1e-4) -> dict:
     masks = np.ones((n, h, w), dtype=bool)
     pred0 = (gt * rng.uniform(0.8, 1.2) + rng.normal(0, 0.2, gt.shape))
     param = Tensor(pred0.astype(np.float32), requires_grad=True)
-    reports = {
-        "ssi": gradcheck(lambda: loss_ssi_scene(param, gt, masks), [param],
-                         tol=tol),
-        "tgm": gradcheck(lambda: loss_tgm(param, gt, masks), [param],
-                         tol=tol),
-        "sascon": gradcheck(lambda: loss_sascon(param, gt, masks), [param],
-                            tol=tol),
-    }
+    losses = {"ssi": loss_ssi_scene, "tgm": loss_tgm, "sascon": loss_sascon}
+    reports = {k: gradcheck(partial(f, param, gt, masks), [param],
+                            tol=GRAD_TOL) for k, f in losses.items()}
     return {"reports": {k: v["max_rel_err"] for k, v in reports.items()},
             "passed": all(v["passed"] for v in reports.values())}
 

@@ -31,15 +31,13 @@ from depthstream.losses import (LossWeights, TrainConfig, Trainer,
                                 loss_sascon, loss_ssi_scene, loss_tgm,
                                 loss_total, temporal_gradient_error)
 from depthstream.model import DepthModel, ModelConfig
-from depthstream.verify import (EQUIV_CONFIGS, alignment_oracle_check,
+from depthstream.verify import (ALIGN_TOL, EQUIV_CONFIGS, EQUIV_TOL,
+                                GRAD_TOL, alignment_oracle_check,
                                 loss_gradient_check,
                                 streaming_equivalence_check)
 
-EQUIV_TOL = 1e-5
 CAUSAL_TOL = 1e-6
-ALIGN_TOL = 1e-6
 FIXTURE_TOL = 1e-6
-GRAD_TOL = 1e-4
 DRIFT_REL_TOL = 0.10
 FP16_DELTA1_TOL = 0.005
 FP16_INVDEPTH_TOL = 5e-4
@@ -113,8 +111,7 @@ class TestCriterion01StreamingEquivalence:
         assert len(set(EQUIV_CONFIGS)) == 20
         worst = 0.0
         for c, n in EQUIV_CONFIGS:
-            res = streaming_equivalence_check(c, n, seed=c * 100 + n,
-                                             tol=EQUIV_TOL)
+            res = streaming_equivalence_check(c, n, seed=c * 100 + n)
             worst = max(worst, res["max_abs_diff"])
             if not res["passed"]:
                 report("01 streaming-equivalence", False,
@@ -144,7 +141,7 @@ class TestCriterion02Causality:
 
 class TestCriterion03AlignmentOracle:
     def test_closed_form_matches_brute_force(self, report):
-        res = alignment_oracle_check(trials=100, seed=0, tol=ALIGN_TOL)
+        res = alignment_oracle_check(trials=100, seed=0)
         rng = np.random.default_rng(1)
         exact_ok = True
         for _ in range(10):
@@ -173,7 +170,7 @@ class TestCriterion03AlignmentOracle:
             return s, T.add(t, 0.01) if case in broken else t, n
 
         monkeypatch.setattr(align, "solve_scale_shift", shifted)
-        res = alignment_oracle_check(trials=1, seed=0, tol=ALIGN_TOL)
+        res = alignment_oracle_check(trials=1, seed=0)
         for case in ("pooled", "per_frame"):
             assert res[case]["passed"] == (case not in broken), res
         assert not res["passed"]
@@ -203,7 +200,7 @@ class TestCriterion04LossCorrectness:
 
         worst_rel = 0.0
         for seed in range(10):
-            res = loss_gradient_check(seed=1000 + seed, tol=GRAD_TOL)
+            res = loss_gradient_check(seed=1000 + seed)
             worst_rel = max(worst_rel, *res["reports"].values())
             if not res["passed"]:
                 report("04 loss-correctness", False,

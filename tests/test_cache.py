@@ -156,7 +156,7 @@ class TestCacheBank:
             windows.append(indices(bank))
         assert windows[4] == [4, 2]
         assert windows[5] == [5, 3]
-        assert len(bank) == 4 and bank.span() == 4
+        assert len(bank) == 4
 
     def test_equally_spaced_frames_per_cache(self):
         bank = CacheBank(4, 2)
@@ -174,7 +174,7 @@ class TestCacheBank:
             for c, m in itertools.product(range(1, 7), range(1, 5)):
                 bank = CacheBank(c, m, precision)
                 assert bank.memory_footprint() == 0
-                assert len(bank) == 0 and bank.span() == 0
+                assert len(bank) == 0
                 for t in range(6 * m * c):
                     evicted = bank.push_evict(t, lat(t, size))
                     assert evicted == (t - m * c if t >= m * c else None)
@@ -183,14 +183,6 @@ class TestCacheBank:
                     assert indices(bank) == want, (c, m, t)
                     assert bank.memory_footprint() == \
                         min(t + 1, m * c) * per_entry
-
-    def test_effective_span(self):
-        for m in (1, 2, 3):
-            bank = CacheBank(4, m)
-            for i in range(40):
-                bank.push_evict(i, lat(i))
-            # stored indices span roughly m * capacity frames
-            assert bank.span() == pytest.approx(m * 4, abs=m)
 
     def test_warmup_window_never_empty(self):
         bank = CacheBank(4, 3)

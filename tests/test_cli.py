@@ -279,19 +279,26 @@ class TestInference:
             np.testing.assert_array_equal(read_pfm(outs["default"] / n),
                                           read_pfm(outs["explicit"] / n))
 
-    @pytest.mark.parametrize("fault", ["header_cut", "unknown_config_key"])
+    @pytest.mark.parametrize("fault", ["header_cut", "unknown_config_key",
+                                       "previous_magic"])
     def test_bad_checkpoint_header_is_usage_error(self, pipeline, tmp_path,
                                                   capsys, fault):
         raw = pipeline["ckpt"].read_bytes()
         if fault == "header_cut":
             raw = CHECKPOINT_MAGIC + b"\0"
+        elif fault == "previous_magic":
+            raw = b"DSTM0001" + raw[len(CHECKPOINT_MAGIC):]
         else:
             raw = raw.replace(b'"context"', b'"kontext"')
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(raw)
         assert run("stream", "--data", str(pipeline["data"]), "--out",
                    str(tmp_path / "out"), "--model", str(ckpt)) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if fault == "previous_magic":
+            assert "b'DSTM0001', not b'DSTM0002'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalAndDrift:
@@ -397,6 +404,8 @@ class TestRefusedInput:
         (("drift", "--smooth", "-3"), None, "--smooth must be >= 1"),
         (("train", "--steps", "1", "--lr", "nan"), None,
          "non-finite learning rate nan"),
+        (("train", "--steps", "1", "--lr", "-5"), None,
+         "negative learning rate -5.0"),
         (("train", "--steps", "1", "--alpha", "inf"), None,
          "non-finite loss weight in LossWeights(alpha=inf"),
         (("gen", "--velocity", "nan"), None, "non-finite velocity nan"),
@@ -409,8 +418,8 @@ class TestRefusedInput:
             "stream-caches-0", "bench-caches-0", "train-caches-0",
             "train-height-0", "gen-height-0", "gen-width--1",
             "stream-manifest-size", "drift-smooth-0", "drift-smooth--3",
-            "train-lr-nan", "train-alpha-inf", "gen-velocity-nan",
-            "gen-velocity-inf"])
+            "train-lr-nan", "train-lr-negative", "train-alpha-inf",
+            "gen-velocity-nan", "gen-velocity-inf"])
     def test_refused_input_leaves_no_out(self, pipeline, tmp_path, capsys,
                                          argv, fault, message):
         data = tmp_path / "data"
@@ -477,13 +486,7 @@ class TestCheck:
         # a gate with no tolerance passes every configuration, the widened
         # band included, and check must report that as a failure
         from depthstream import verify
-        real = verify.streaming_equivalence_check
-
-        def gate_that_cannot_fail(c, n, seed, band_override=None, tol=1e-5):
-            return real(c, n, seed, band_override, tol=float("inf"))
-
-        monkeypatch.setattr(verify, "streaming_equivalence_check",
-                            gate_that_cannot_fail)
+        monkeypatch.setattr(verify, "EQUIV_TOL", float("inf"))
         assert run("check") == 2
         lines = capsys.readouterr().out.splitlines()
         self_test = [l for l in lines if l.startswith("self-test")]

@@ -505,6 +505,13 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="non-finite learning rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("lr", [-5.0, -1e-12])
+    def test_negative_learning_rate_refused(self, lr):
+        # 0 is a legitimate no-op (test_zero_lr_keeps_parameters); below
+        # it a step would climb the loss
+        with pytest.raises(ValueError, match="negative learning rate"):
+            TrainConfig(learning_rate=lr)
+
     @pytest.mark.parametrize("weights", [(np.nan, 1, 1), (1, np.inf, 1),
                                          (1, 1, -np.inf)])
     def test_non_finite_loss_weight_refused(self, weights):

@@ -366,8 +366,8 @@ class TestCheckpoint:
 
     # sha256 of the tiny checkpoint below; any change to the byte format
     # or to parameter order or initialisation changes it
-    GOLDEN_SHA256 = ("fa6d943720c4dd9d2d031f1ec4a9c922"
-                     "5a8610df162ab779f6ce6449217769cc")
+    GOLDEN_SHA256 = ("586ae280f01c1fd622227dcb93287c3d"
+                     "cdc2402a1ada8acafce21c5893e17ef7")
 
     def test_golden_bytes_and_round_trip(self, tmp_path):
         tiny = ModelConfig(height=8, width=8, patch_size=4, encoder_channels=4,
@@ -385,6 +385,16 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTAMODELxxxx")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_previous_format_names_both_magics(self, model, tmp_path):
+        # DSTM0001 stored a key bias per motion module; it is refused, not
+        # read as misaligned arrays
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(b"DSTM0001" + path.read_bytes()[8:])
+        with pytest.raises(ValueError,
+                           match="magic b'DSTM0001', not b'DSTM0002'"):
             load_checkpoint(path)
 
     def test_zero_patch_size_rejected(self, model, tmp_path):
@@ -515,10 +525,7 @@ class TestConfigValidation:
             out = model.head_forward_batch(feats)
             tape.backward(T.mean_(T.mul(out, out)))
         for name, p in model.head_parameters():
-            if name.endswith(".bk"):  # cancels in the softmax: no gradient
-                assert p.grad is None, name
-            else:
-                assert p.grad is not None and np.any(p.grad != 0), name
+            assert p.grad is not None and np.any(p.grad != 0), name
 
     def test_float64_features_give_the_float32_outputs(self, model, cfg):
         feats = model.encoder.encode_sequence(rand_rgb(5, cfg, seed=20))

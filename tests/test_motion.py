@@ -52,8 +52,7 @@ def dense_attention_oracle(seq, params, band=None):
             for k in range(lo, q + 1):
                 age = q - k
                 key_in = seq[k, tok] + params.pe_table.data[age]
-                scores.append((qv @ (key_in @ params.wk.data
-                                     + params.bk.data)) / np.sqrt(c))
+                scores.append((qv @ (key_in @ params.wk.data)) / np.sqrt(c))
                 vals.append(key_in @ params.wv.data + params.bv.data)
             w = np.exp(scores - np.max(scores))
             w = w / w.sum()
@@ -283,24 +282,3 @@ class TestMotionModule:
 
         rep = gradcheck(f, tensors)
         assert rep["passed"], rep
-
-    def test_key_bias_drops_out(self):
-        # q.bk is the same for every key, so the softmax cancels it
-        params = make_params(channels=8, context=4, seed=25)
-        seq = rand_latents(6, 4, 8, seed=26)
-
-        def outputs():
-            batch = motion_module_forward_batch(token_major(seq), 4,
-                                                fold(params)).data
-            bank = CacheBank(4, 1)
-            folded = fold(params)
-            stream = [motion_module_forward_stream(frame(seq[t]), t, bank,
-                                                   folded).data
-                      for t in range(6)]
-            return batch, np.concatenate(stream, axis=1)
-
-        before = outputs()
-        params.bk = Tensor(np.random.default_rng(27).normal(size=8))
-        after = outputs()
-        for a, b in zip(before, after):
-            np.testing.assert_array_equal(a, b)

@@ -18,6 +18,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 from depthstream import tensor as T
 from depthstream.cache import CacheBank, OutOfOrderFrame
 from depthstream.model import DepthModel, ModelConfig, SessionMisuse
+from depthstream.verify import EQUIV_TOL
 
 CFG = ModelConfig(height=8, width=8, patch_size=4, encoder_channels=8,
                   head_channels=8, num_motion_modules=2, context=4, seed=5)
@@ -25,7 +26,7 @@ MODEL = DepthModel(CFG)
 FRAME_SHAPE = (CFG.tokens, CFG.encoder_channels)
 # the stream's gate against the banded batch pass; an fp16 bank rounds
 # every stored latent, so its gap is the fp16 cache's gate
-BATCH_TOL = {"fp32": 1e-5, "fp16": 5e-4}
+BATCH_TOL = {"fp32": EQUIV_TOL, "fp16": 5e-4}
 BYTES = {"fp32": 4, "fp16": 2}
 SEEDS = st.integers(0, 2 ** 16)
 AT = st.integers(0, CFG.tokens * CFG.encoder_channels - 1)
@@ -217,8 +218,6 @@ class BankMachine(RuleBasedStateMachine):
         assert len(self.bank) == len(self.stored)
         assert self.bank.memory_footprint() == sum(
             lat.nbytes for _, lat in self.stored)
-        assert self.bank.span() == (
-            self.stored[-1][0] - self.stored[0][0] + 1 if self.stored else 0)
 
     @invariant()
     def window_is_the_schedule(self):
