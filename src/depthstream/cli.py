@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
     trainer = Trainer(model, sequences, weights, cfg,
                       AugmentConfig(enabled=args.augment))
     trainer.step_counter = step_offset
-    trainer.run(args.steps)
+    trainer.run()
     trainer.write_log(out / "train_log.csv")
     save_checkpoint(model, out / "model.ckpt",
                     extra={"steps_done": trainer.step_counter})
@@ -246,11 +246,12 @@ def cmd_bench(args) -> int:
         ModelConfig(seed=args.seed, **_given_model_flags(args)))
     cfg = model.cfg
     _resolve_model_flags(args, model)
-    n = args.frames
-    warm = args.context
-    # the first c frames fill the cache and are not timed
+    n, c, m = args.frames, args.context, args.caches
+    # frames up to (c - 1) * m, where the window first holds c, are untimed
+    warm = (c - 1) * m + 1
     if n <= warm:
-        raise ValueError(f"--frames {n} must exceed the context {warm}")
+        raise ValueError(f"--frames {n} must exceed the context {c} and "
+                         f"cache stride {m} warm-up of {warm} frames")
     out = _write_run_record(args)
     rng = np.random.default_rng(args.seed)
     rgb = rng.random((n, cfg.height, cfg.width, 3)).astype(np.float32)

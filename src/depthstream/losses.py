@@ -180,21 +180,18 @@ def frame_augment(rgb_seq: np.ndarray, cfg: AugmentConfig,
     return out
 
 
-def _cosine_lr(base: float, step: int, total_steps: int) -> float:
-    return base * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
-
-
-def train_step(model: DepthModel, batch, weights: LossWeights,
-               cfg: TrainConfig, step: int = 0) -> dict:
-    """One gradient-descent step on the head; the encoder stays frozen.
+def train_step(model: DepthModel, batch, weights: LossWeights, lr: float,
+               step: int = 0) -> dict:
+    """One gradient-descent step on the head at rate lr; the encoder stays
+    frozen.
 
     batch: list of (features [N, S, C_enc], gt inverse-depth [N, H, W],
     masks [N, H, W]). The loss is loss_total's, averaged over the batch.
     Returns the per-term loss record for the log; a term skipped by a
     zero beta or gamma reads 0.0.
     """
-    lr = (_cosine_lr(cfg.learning_rate, step, cfg.steps)
-          if cfg.cosine_schedule else cfg.learning_rate)
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     with Tape() as tape:
         totals, logs = [], []
         for feats, gt, masks in batch:
@@ -252,8 +249,13 @@ class Trainer:
     def run(self, steps: int | None = None):
         steps = self.cfg.steps if steps is None else steps
         for _ in range(steps):
+            # the schedule counts this run's steps, so resuming restarts it
+            lr = self.cfg.learning_rate
+            if self.cfg.cosine_schedule:
+                lr = lr * 0.5 * (1.0 + math.cos(
+                    math.pi * len(self.log) / max(1, self.cfg.steps)))
             rec = train_step(self.model, self._sample_batch(), self.weights,
-                             self.cfg, step=self.step_counter)
+                             lr, step=self.step_counter)
             self.log.append(rec)
             self.step_counter += 1
         return self.log

@@ -9,6 +9,7 @@ windows); the two are equivalent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .cache import _DTYPES, CacheBank
-from .motion import MotionModuleParams, fold, initial_arrays, \
-    motion_module_forward_batch, motion_module_forward_stream
+from .motion import MotionModuleParams, fold, motion_module_forward_batch, \
+    motion_module_forward_stream
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "EncoderStub", "DepthModel", "StreamingSession",
@@ -106,24 +107,44 @@ class _FrameBlock:
         return T.add(x, T.linear(h, self.w2, self.b2))
 
 
-def _layout(cfg: ModelConfig) -> tuple[list[tuple], list[tuple]]:
-    """Every stored array's (shape, fill, std) in checkpoint order (see
-    initial_arrays): the head's slots, then the encoder's. A seeded model
-    draws each part from its own generator."""
-    c, e = cfg.head_channels, cfg.encoder_channels
+@functools.lru_cache(maxsize=8)
+def _sinusoids(rows: int, channels: int) -> np.ndarray:
+    """Standard sinusoidal position table, rows indexed by age."""
+    pos = np.arange(rows, dtype=np.float64)[:, None]
+    i = np.arange(channels, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, 2 * (i // 2) / channels)
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    return table.astype(np.float32)
 
-    def lin(rows, cols, scale=1.0):
-        return ((rows, cols), "normal", scale / math.sqrt(rows))
+
+def _layout(cfg: ModelConfig) -> tuple[tuple, tuple]:
+    """Each stored array's (shape, draw), head then encoder, in checkpoint
+    order. draw(rng) returns a fresh initial array, calling rng only for a
+    normal slot; a seeded model draws each part from its own generator."""
+    return _slots(cfg.head_channels, cfg.encoder_channels, cfg.context,
+                  cfg.patch_size, cfg.num_motion_modules)
+
+
+@functools.lru_cache(maxsize=8)  # shared: the draws hold only numbers
+def _slots(c: int, e: int, ctx: int, patch: int, modules: int):
+    def lin(rows, cols, scale):
+        std = scale / math.sqrt(rows)
+        return (rows, cols), lambda rng: rng.normal(0, std, (rows, cols))
 
     def bias(n):
-        return ((n,), "zeros", 0.0)
+        return (n,), lambda rng: np.zeros(n)
 
-    module = [lin(c, c), bias(c), lin(c, c, 0.5), bias(c)] \
-        + MotionModuleParams.layout(c, cfg.context)
-    fan_in = 3 * cfg.patch_size ** 2
-    return ([lin(e, c), bias(c)] + module * cfg.num_motion_modules
-            + [lin(c, 1, 0.5), bias(1)],
-            [lin(fan_in, e), ((e,), "normal", 0.1)])
+    # _FrameBlock's fields: w1, b1, w2, b2
+    block = [lin(c, c, 1.0), bias(c), lin(c, c, 0.5), bias(c)]
+    # MotionModuleParams' fields: wq, bq, wk, wv, bv, wo, bo, ln_gain,
+    # ln_bias, pe_table (a copy, so each module's table is its own)
+    motion = [lin(c, c, 1.0), bias(c), lin(c, c, 1.0), lin(c, c, 1.0),
+              bias(c), lin(c, c, 0.5), bias(c), ((c,), lambda rng: np.ones(c)),
+              bias(c), ((ctx, c), lambda rng: _sinusoids(ctx, c).copy())]
+    head = [lin(e, c, 1.0), bias(c)] + (block + motion) * modules \
+        + [lin(c, 1, 0.5), bias(1)]
+    return tuple(head), (lin(3 * patch ** 2, e, 1.0),
+                         ((e,), lambda rng: rng.normal(0, 0.1, e)))
 
 
 class DepthModel:
@@ -136,11 +157,11 @@ class DepthModel:
         self.cfg = cfg
         head, encoder = _layout(cfg)
         if arrays is None:
-            arrays = (initial_arrays(head, np.random.default_rng(cfg.seed + 1))
-                      + initial_arrays(encoder,
-                                       np.random.default_rng(cfg.seed)))
-        shapes = [shape for shape, _, _ in head + encoder]
-        if [a.shape for a in arrays] != shapes:
+            head_rng = np.random.default_rng(cfg.seed + 1)
+            encoder_rng = np.random.default_rng(cfg.seed)
+            arrays = ([draw(head_rng) for _, draw in head]
+                      + [draw(encoder_rng) for _, draw in encoder])
+        if [a.shape for a in arrays] != [s for s, _ in head + encoder]:
             raise ValueError("stored arrays do not match the model's layout")
         stored = (np.asarray(a, dtype=np.float32) for a in arrays)
 
@@ -321,8 +342,7 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
             cfg = ModelConfig(**cfg)
         except (TypeError, ValueError) as e:
             raise ValueError(f"bad checkpoint config: {e}") from None
-        head, encoder = _layout(cfg)
-        shapes = [shape for shape, _, _ in head + encoder]
+        shapes = [shape for part in _layout(cfg) for shape, _ in part]
         sizes = [math.prod(shape) for shape in shapes]
         raw = f.read(4 * sum(sizes))
         if len(raw) != 4 * sum(sizes):

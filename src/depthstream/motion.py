@@ -20,7 +20,6 @@ which takes their fixed products once: per batch pass, or once per session.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,34 +39,6 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=8)
-def _sinusoids(rows: int, channels: int) -> np.ndarray:
-    """Standard sinusoidal position table, rows indexed by age."""
-    pos = np.arange(rows, dtype=np.float64)[:, None]
-    i = np.arange(channels, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2 * (i // 2) / channels)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float32)
-
-
-def initial_arrays(layout, rng: np.random.Generator) -> list[np.ndarray]:
-    """Initial values for (shape, fill, std) slots: "normal" draws
-    N(0, std^2) from rng, slot by slot in order; "zeros", "ones" and
-    "sinusoids" (a sinusoidal position table) draw nothing."""
-    out = []
-    for shape, fill, std in layout:
-        if fill == "normal":
-            out.append(rng.normal(0, std, shape))
-        elif fill == "zeros":
-            out.append(np.zeros(shape))
-        elif fill == "ones":
-            out.append(np.ones(shape))
-        else:
-            # a copy keeps each module's trainable table its own
-            out.append(_sinusoids(*shape).copy())
-    return out
-
-
 @dataclass
 class MotionModuleParams:
     """Projections, pre-attention norm, and the c-row position table."""
@@ -82,20 +53,6 @@ class MotionModuleParams:
     ln_gain: Tensor
     ln_bias: Tensor
     pe_table: Tensor  # [c, C], row index = age within the window
-
-    @staticmethod
-    def layout(channels: int, context: int) -> list[tuple]:
-        """Every field's (shape, fill, std) in field order: wq, bq, wk,
-        ..., pe_table (see initial_arrays)."""
-        c = channels
-        bias = ((c,), "zeros", 0.0)
-
-        def proj(scale):
-            return ((c, c), "normal", scale / math.sqrt(c))
-
-        return [proj(1.0), bias, proj(1.0), proj(1.0), bias,
-                proj(0.5), bias, ((c,), "ones", 0.0), bias,
-                ((context, c), "sinusoids", 0.0)]
 
 
 @dataclass

@@ -76,6 +76,23 @@ class TestTrain:
         _, extra2 = load_checkpoint(out / "model.ckpt")
         assert extra2["steps_done"] == 5
 
+    def test_resume_restarts_the_schedule(self, pipeline, tmp_path):
+        # the cosine schedule counts the run's own steps; the step column
+        # stays global
+        out = tmp_path / "resumed"
+        assert run("train", "--data", str(pipeline["data"]),
+                   "--out", str(out), "--steps", "3",
+                   "--resume", str(pipeline["ckpt"])) == 0
+
+        def columns(train):
+            rows = list(csv.DictReader((train / "train_log.csv").open()))
+            return [r["step"] for r in rows], [r["lr"] for r in rows]
+
+        (fresh_steps, fresh_lr), (steps, lr) = (columns(pipeline["train"]),
+                                                columns(out))
+        assert (fresh_steps, steps) == (["0", "1", "2"], ["3", "4", "5"])
+        assert fresh_lr[0] == "0.00100000" and lr == fresh_lr
+
     def test_resume_takes_omitted_model_flags_from_checkpoint(
             self, pipeline, tmp_path):
         out = tmp_path / "resumed"
@@ -453,16 +470,19 @@ class TestRefusedInput:
 
 
 class TestBench:
-    def test_report_keys(self, tmp_path):
+    # with stride m the window first holds c latents at frame (c - 1) * m
+    @pytest.mark.parametrize("caches, warmup", [("1", 4), ("2", 7)],
+                             ids=["m1", "m2"])
+    def test_report_keys(self, tmp_path, caches, warmup):
         out = tmp_path / "bench"
         assert run("bench", "--out", str(out), "--frames", "24",
-                   "--context", "4") == 0
+                   "--context", "4", "--caches", caches) == 0
         rows = dict(list(csv.reader((out / "bench.csv").open()))[1:])
         assert set(rows) == {"frames", "warmup_excluded", "context",
                              "caches", "precision", "stream_median_ms",
                              "batch_recompute_ms_per_frame", "cache_bytes"}
         assert int(rows["frames"]) == 24
-        assert int(rows["warmup_excluded"]) == 4
+        assert int(rows["warmup_excluded"]) == warmup
         assert float(rows["stream_median_ms"]) > 0.0
         assert int(rows["cache_bytes"]) > 0
 

@@ -81,4 +81,4 @@ def test_settable_values():
     do; one that removes settings lowers it."""
     root = Path(depthstream.__file__).parent
     assert sum(settable_values(ast.parse(path.read_text()))
-               for path in root.glob("*.py")) == 136
+               for path in root.glob("*.py")) == 135

@@ -469,8 +469,7 @@ class TestPrecision:
 
     def test_train_step_runs_in_float32(self, kept_tapes):
         model = tiny_model()
-        train_step(model, tiny_batch(model), LossWeights(),
-                   TrainConfig(steps=1))
+        train_step(model, tiny_batch(model), LossWeights(), 1e-3)
         [(tape, grads)] = kept_tapes
         assert {out.data.dtype for out, _, _ in tape._nodes} == {
             np.dtype(np.float32)}
@@ -518,11 +517,19 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="non-finite loss weight"):
             LossWeights(*weights)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-12])
+    def test_bad_rate_refused_before_the_step(self, lr):
+        model = tiny_model()
+        before = [t.data.copy() for _, t in model.head_parameters()]
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            train_step(model, tiny_batch(model), LossWeights(), lr)
+        for (_, t), b in zip(model.head_parameters(), before):
+            np.testing.assert_array_equal(t.data, b)
+
     def test_zero_lr_keeps_parameters(self):
         model = tiny_model()
         before = [t.data.copy() for _, t in model.head_parameters()]
-        cfg = TrainConfig(learning_rate=0.0, steps=1, cosine_schedule=False)
-        train_step(model, tiny_batch(model), LossWeights(), cfg)
+        train_step(model, tiny_batch(model), LossWeights(), 0.0)
         for (_, t), b in zip(model.head_parameters(), before):
             np.testing.assert_array_equal(t.data, b)
 
@@ -530,18 +537,16 @@ class TestTrainStep:
         model = tiny_model()
         w = model.encoder.weight.copy()
         b = model.encoder.bias.copy()
-        cfg = TrainConfig(learning_rate=1e-2, steps=5, cosine_schedule=False)
         for step in range(5):
             train_step(model, tiny_batch(model, seed=step), LossWeights(),
-                       cfg, step=step)
+                       1e-2, step=step)
         np.testing.assert_array_equal(model.encoder.weight, w)
         np.testing.assert_array_equal(model.encoder.bias, b)
 
     def test_parameters_move_with_positive_lr(self):
         model = tiny_model()
         before = [t.data.copy() for _, t in model.head_parameters()]
-        cfg = TrainConfig(learning_rate=1e-2, steps=1, cosine_schedule=False)
-        train_step(model, tiny_batch(model), LossWeights(), cfg)
+        train_step(model, tiny_batch(model), LossWeights(), 1e-2)
         moved = any(np.any(t.data != b)
                     for (_, t), b in zip(model.head_parameters(), before))
         assert moved
@@ -554,15 +559,14 @@ class TestTrainStep:
         feats, gt, masks = batch[0]
         expected = loss_total(model.head_forward_batch(feats), gt, masks,
                               weights).item()
-        cfg = TrainConfig(learning_rate=0.0, steps=1, cosine_schedule=False)
-        rec = train_step(model, batch, weights, cfg)
+        rec = train_step(model, batch, weights, 0.0)
         assert rec["loss"] == expected
         assert (rec["tgm"] == 0.0) == (weights.beta == 0)
 
     def test_log_record_fields(self):
         model = tiny_model()
-        cfg = TrainConfig(learning_rate=1e-3, steps=2)
-        rec = train_step(model, tiny_batch(model), LossWeights(), cfg, step=1)
+        rec = train_step(model, tiny_batch(model), LossWeights(), 1e-3,
+                         step=1)
         assert set(rec) == {"step", "lr", "loss", "ssi", "tgm", "sascon"}
 
 

@@ -364,19 +364,23 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    # sha256 of the tiny checkpoint below; any change to the byte format
-    # or to parameter order or initialisation changes it
-    GOLDEN_SHA256 = ("586ae280f01c1fd622227dcb93287c3d"
-                     "cdc2402a1ada8acafce21c5893e17ef7")
-
-    def test_golden_bytes_and_round_trip(self, tmp_path):
+    # sha256 of each tiny checkpoint below; any change to the byte format
+    # or to parameter order or initialisation changes it. The second has a
+    # third motion module, so the slot order repeats past two.
+    @pytest.mark.parametrize("channels, modules, context, golden_sha256", [
+        (4, 2, 3, "586ae280f01c1fd622227dcb93287c3d"
+                  "cdc2402a1ada8acafce21c5893e17ef7"),
+        (12, 3, 5, "8c1f2f977fc81f8b17451804189adb7a"
+                   "8596e25295d918acf12b3ad590388cfc"),
+    ], ids=["2-modules", "3-modules"])
+    def test_golden_bytes_and_round_trip(self, tmp_path, channels, modules,
+                                         context, golden_sha256):
         tiny = ModelConfig(height=8, width=8, patch_size=4, encoder_channels=4,
-                           head_channels=4, num_motion_modules=2, context=3,
-                           seed=5)
+                           head_channels=channels, num_motion_modules=modules,
+                           context=context, seed=5)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(DepthModel(tiny), p1, extra={"steps_done": 7})
-        assert hashlib.sha256(p1.read_bytes()).hexdigest() == \
-            self.GOLDEN_SHA256
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == golden_sha256
         loaded, extra = load_checkpoint(p1)
         save_checkpoint(loaded, p2, extra=extra)
         assert p2.read_bytes() == p1.read_bytes()

@@ -5,16 +5,22 @@ import pytest
 
 from depthstream import tensor as T
 from depthstream.cache import CacheBank
+from depthstream.model import _sinusoids
 from depthstream.motion import (MotionModuleParams, attend_batch_masked,
-                                attend_streaming, fold, initial_arrays,
+                                attend_streaming, fold,
                                 motion_module_forward_batch,
                                 motion_module_forward_stream)
 from depthstream.tensor import Tensor, gradcheck
 
 
 def make_params(channels=8, context=4, seed=0, trainable=False):
-    arrays = initial_arrays(MotionModuleParams.layout(channels, context),
-                            np.random.default_rng(seed))
+    """A module drawn as a seeded model draws one, from its own generator."""
+    rng, c = np.random.default_rng(seed), channels
+    wq, wk, wv = (rng.normal(0, 1 / np.sqrt(c), (c, c)) for _ in range(3))
+    wo = rng.normal(0, 0.5 / np.sqrt(c), (c, c))
+    bq, bv, bo, ln_bias = (np.zeros(c) for _ in range(4))
+    arrays = [wq, bq, wk, wv, bv, wo, bo, np.ones(c), ln_bias,
+              _sinusoids(context, c).copy()]
     return MotionModuleParams(*(Tensor(a, requires_grad=trainable)
                                 for a in arrays))
 
