@@ -248,12 +248,11 @@ class Trainer:
 
     def run(self, steps: int | None = None):
         steps = self.cfg.steps if steps is None else steps
-        for _ in range(steps):
-            # the schedule counts this run's steps, so resuming restarts it
+        for i in range(steps):
+            # each call anneals over its own steps, so resuming restarts it
             lr = self.cfg.learning_rate
             if self.cfg.cosine_schedule:
-                lr = lr * 0.5 * (1.0 + math.cos(
-                    math.pi * len(self.log) / max(1, self.cfg.steps)))
+                lr = lr * 0.5 * (1.0 + math.cos(math.pi * i / steps))
             rec = train_step(self.model, self._sample_batch(), self.weights,
                              lr, step=self.step_counter)
             self.log.append(rec)

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -47,8 +48,14 @@ class ModelConfig:
     fusion_factors: tuple = (4, 2, 1, 0.5)
 
     def __post_init__(self):
-        small = [f.name for f in fields(self) if f.type == "int"
-                 and f.name != "seed" and getattr(self, f.name) < 1]
+        ints = [f.name for f in fields(self) if f.type == "int"]
+        for name in ints:  # 16.5, "16" and None are not integers
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
+        small = [n for n in ints if n != "seed" and getattr(self, n) < 1]
         if small:
             raise ValueError(f"{', '.join(small)} must be >= 1")
         if self.height % self.patch_size or self.width % self.patch_size:
@@ -238,7 +245,7 @@ class SessionMisuse(ValueError):
 
 
 class StreamingSession:
-    """One streaming run: per-motion-module cache banks plus a frame counter.
+    """One streaming run: one cache bank per motion module.
 
     The session snapshots the model's weights when it is built and folds
     the attention weights once; training the model afterwards does not
@@ -259,7 +266,6 @@ class StreamingSession:
         self.folded = [fold(mm) for mm in self.model.motions]
         self.banks = [CacheBank(context, modulus, precision)
                       for _ in range(cfg.num_motion_modules)]
-        self.t = 0
 
     def head_forward_stream(self, features: np.ndarray) -> np.ndarray:
         """Features of ONE frame [S, C_enc] -> [H, W] inverse depth.
@@ -267,8 +273,8 @@ class StreamingSession:
         The step is all or nothing. A frame of the wrong shape or with a
         non-finite value raises SessionMisuse before any cache is written;
         any later raise (NonFiniteError from a bank or the readout) puts
-        every bank back as it was. Either way t does not count the frame,
-        so the session goes on as if it had never been offered.
+        every bank back as it was. Either way the session goes on as if the
+        frame had never been offered.
         """
         feats = np.asarray(features, dtype=np.float32)
         cfg = self.model.cfg
@@ -285,14 +291,12 @@ class StreamingSession:
             for blk, folded, bank in zip(self.model.blocks, self.folded,
                                          self.banks):
                 h = blk.forward(h)
-                h = motion_module_forward_stream(h, self.t, bank, folded)
-            out = self.model._readout(h, 1).data[0]
+                h = motion_module_forward_stream(h, bank, folded)
+            return self.model._readout(h, 1).data[0]
         except BaseException:
             for bank, entries in zip(self.banks, saved):
                 bank._entries = entries
             raise
-        self.t += 1
-        return out
 
     def step_rgb(self, rgb: np.ndarray) -> np.ndarray:
         return self.head_forward_stream(self.model.encoder.encode_frame(rgb))
@@ -336,9 +340,12 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
             raise ValueError("truncated checkpoint header")
         (blob_len,) = struct.unpack("<I", header)
         cfg = json.loads(f.read(blob_len).decode("utf-8"))
+        if not isinstance(cfg, dict):
+            raise ValueError("bad checkpoint config: not a JSON object")
         extra = cfg.pop("extra", {})
-        cfg["fusion_factors"] = tuple(cfg.get("fusion_factors", (4, 2, 1, 0.5)))
         try:
+            cfg["fusion_factors"] = tuple(cfg.get("fusion_factors",
+                                                  (4, 2, 1, 0.5)))
             cfg = ModelConfig(**cfg)
         except (TypeError, ValueError) as e:
             raise ValueError(f"bad checkpoint config: {e}") from None

@@ -165,8 +165,7 @@ def motion_module_forward_batch(x: Tensor, band: int,
     return T.add(x, attend_batch_masked(h, band, weights))
 
 
-def motion_module_forward_stream(x: Tensor, frame_index: int,
-                                 bank: CacheBank,
+def motion_module_forward_stream(x: Tensor, bank: CacheBank,
                                  weights: FoldedWeights) -> Tensor:
     """Streaming counterpart for one frame, token-major [S, 1, C].
 
@@ -174,7 +173,7 @@ def motion_module_forward_stream(x: Tensor, frame_index: int,
     cross-attends against the bank's window.
     """
     h = T.layer_norm(x, weights.ln_gain, weights.ln_bias)
-    bank.push_evict(frame_index, h.data[:, 0])
+    bank.push_evict(h.data[:, 0])
     # the newest window entry is the stored copy of h; use h itself as the
     # query so gradients (when taped) flow through the current frame
     y = attend_streaming(h, bank.window(), weights)

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -296,12 +297,23 @@ class TestInference:
             np.testing.assert_array_equal(read_pfm(outs["default"] / n),
                                           read_pfm(outs["explicit"] / n))
 
-    @pytest.mark.parametrize("fault", ["header_cut", "unknown_config_key",
-                                       "previous_magic"])
+    @pytest.mark.parametrize("fault", [
+        "header_cut", "unknown_config_key", "previous_magic", "config_list",
+        "config_string", "fusion_factors_int", "context_float"])
     def test_bad_checkpoint_header_is_usage_error(self, pipeline, tmp_path,
                                                   capsys, fault):
         raw = pipeline["ckpt"].read_bytes()
-        if fault == "header_cut":
+        start = len(CHECKPOINT_MAGIC) + 4
+        end = start + struct.unpack("<I", raw[start - 4:start])[0]
+        cfg = json.loads(raw[start:end])
+        config = {"config_list": [], "config_string": "x",
+                  "fusion_factors_int": {**cfg, "fusion_factors": 5},
+                  "context_float": {**cfg, "context": 16.5}}.get(fault)
+        if config is not None:
+            blob = json.dumps(config).encode()
+            raw = (raw[:start - 4] + struct.pack("<I", len(blob)) + blob
+                   + raw[end:])
+        elif fault == "header_cut":
             raw = CHECKPOINT_MAGIC + b"\0"
         elif fault == "previous_magic":
             raw = b"DSTM0001" + raw[len(CHECKPOINT_MAGIC):]
@@ -315,6 +327,8 @@ class TestInference:
         assert "error:" in err
         if fault == "previous_magic":
             assert "b'DSTM0001', not b'DSTM0002'" in err
+        if config is not None:
+            assert "bad checkpoint config" in err
         assert not (tmp_path / "out").exists()
 
 

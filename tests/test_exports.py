@@ -82,3 +82,12 @@ def test_settable_values():
     root = Path(depthstream.__file__).parent
     assert sum(settable_values(ast.parse(path.read_text()))
                for path in root.glob("*.py")) == 135
+
+
+def test_source_lines():
+    """The line count of src/depthstream/*.py, pinned. A change that grows
+    it updates this number and says in CHANGES.md why; one that shrinks it
+    lowers it."""
+    root = Path(depthstream.__file__).parent
+    assert sum(len(path.read_text().splitlines())
+               for path in root.glob("*.py")) == 2607

@@ -590,15 +590,30 @@ class TestTrainer:
         late = np.mean([r["loss"] for r in log[-5:]])
         assert late < 0.7 * early
 
+    @staticmethod
+    def sequences():
+        return [(np.random.default_rng(31).random((4, 8, 8, 3))
+                 .astype(np.float32),
+                 np.full((4, 8, 8), 0.5, dtype=np.float32)
+                 + np.random.default_rng(32).uniform(
+                     0, 0.3, (4, 8, 8)).astype(np.float32),
+                 np.ones((4, 8, 8), dtype=bool))]
+
+    def test_each_run_anneals_over_its_own_steps(self):
+        # two run() calls restart the schedule; one run never raises it
+        cfg = TrainConfig(steps=2, learning_rate=1e-2, seed=2)
+        twice = Trainer(tiny_model(), self.sequences(), LossWeights(), cfg)
+        twice.run()
+        lr = [r["lr"] for r in twice.run()]
+        assert lr == [0.01, 0.005, 0.01, 0.005]
+        once = Trainer(tiny_model(), self.sequences(), LossWeights(), cfg)
+        lr = [r["lr"] for r in once.run(4)]
+        assert lr[0] == 0.01 and lr == sorted(lr, reverse=True)
+        assert once.run(1)[-1]["lr"] == 0.01
+
     def test_log_csv_schema(self, tmp_path):
         model = tiny_model()
-        sequences = [(np.random.default_rng(31).random((4, 8, 8, 3))
-                      .astype(np.float32),
-                      np.full((4, 8, 8), 0.5, dtype=np.float32)
-                      + np.random.default_rng(32).uniform(
-                          0, 0.3, (4, 8, 8)).astype(np.float32),
-                      np.ones((4, 8, 8), dtype=bool))]
-        trainer = Trainer(model, sequences, LossWeights(),
+        trainer = Trainer(model, self.sequences(), LossWeights(),
                           TrainConfig(steps=3, seed=2))
         trainer.run()
         path = tmp_path / "log.csv"

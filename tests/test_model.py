@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from depthstream import tensor as T
-from depthstream.model import (DepthModel, ModelConfig, SessionMisuse,
-                               load_checkpoint, save_checkpoint)
+from depthstream.model import (CHECKPOINT_MAGIC, DepthModel, ModelConfig,
+                               SessionMisuse, load_checkpoint,
+                               save_checkpoint)
 from depthstream.tensor import Tape
 
 
@@ -156,7 +157,7 @@ class TestSession:
     def test_reset_on_fresh_session_noop(self, model):
         # a new session is how a stream restarts: no frame, empty banks
         session = model.new_session()
-        assert session.t == 0
+        assert [len(b) for b in session.banks] == [0, 0]
         assert session.memory_footprint() == 0
 
     def test_footprint_constant_after_warmup(self, model, cfg):
@@ -243,9 +244,9 @@ class TestSession:
 
 class TestNonFiniteState:
     """A NaN or Inf never enters a cache bank: push_evict refuses it. A
-    raise anywhere in a stream step leaves every bank and t as they were,
-    so the session streams on. A case that injects an overflow or Inf on
-    purpose ignores numpy's RuntimeWarning on the way to the refusal."""
+    raise anywhere in a stream step leaves every bank as it was, so the
+    session streams on. A case that injects an overflow or Inf on purpose
+    ignores numpy's RuntimeWarning on the way to the refusal."""
 
     @staticmethod
     def assert_banks_finite(session):
@@ -260,7 +261,7 @@ class TestNonFiniteState:
         s16 = model.new_session(precision="fp16")
         with pytest.raises(T.NonFiniteError):
             s16.head_forward_stream(frame)
-        assert [len(b) for b in s16.banks] == [0, 0] and s16.t == 0
+        assert [len(b) for b in s16.banks] == [0, 0]
         s32 = model.new_session(precision="fp32")
         assert np.isfinite(s32.head_forward_stream(frame)).all()
 
@@ -279,7 +280,6 @@ class TestNonFiniteState:
                 before = [b.window() for b in session.banks]
                 with pytest.raises(T.NonFiniteError):
                     session.head_forward_stream(huge)
-                assert session.t == 3
                 for b, w in zip(session.banks, before):
                     np.testing.assert_array_equal(b.window(), w)
             got.append(session.head_forward_stream(f))
@@ -297,7 +297,7 @@ class TestNonFiniteState:
         want = np.stack([clean.head_forward_stream(f) for f in feats])
         session = model.new_session(cache_modulus=modulus)
 
-        def fault(frame_index, latent):
+        def fault(latent):
             raise T.NonFiniteError("injected at module 1")
 
         got = []
@@ -308,7 +308,6 @@ class TestNonFiniteState:
                     m.setattr(session.banks[1], "push_evict", fault)
                     with pytest.raises(T.NonFiniteError):
                         session.head_forward_stream(f)
-                assert session.t == at
                 for b, w in zip(session.banks, before):
                     np.testing.assert_array_equal(b.window(), w)
             got.append(session.head_forward_stream(f))
@@ -470,6 +469,27 @@ class TestConfigValidation:
         # zero patch size
         with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
             ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("context", 16.5), ("patch_size", "8"), ("head_channels", 16.0),
+        ("seed", None), ("height", [32])])
+    def test_int_field_that_is_not_an_integer_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got "):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integer_is_an_integer(self):
+        assert ModelConfig(context=np.int64(4)).context == 4
+
+    @pytest.mark.parametrize("config", [
+        [], "x", {"fusion_factors": 5}, {"context": 16.5}], ids=repr)
+    def test_malformed_checkpoint_config_refused(self, tmp_path, config):
+        blob = json.dumps(config).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob))
+                         + blob)
+        with pytest.raises(ValueError, match="^bad checkpoint config: "):
+            load_checkpoint(path)
 
     def test_seed_may_be_below_one(self):
         assert ModelConfig(seed=-1).seed == -1

@@ -224,7 +224,7 @@ class TestMotionModule:
         bank = CacheBank(4, 1)
         folded = fold(params)
         for t in range(8):
-            got = motion_module_forward_stream(frame(seq[t]), t, bank,
+            got = motion_module_forward_stream(frame(seq[t]), bank,
                                                folded).data
             np.testing.assert_allclose(got[:, 0], batch[:, t], atol=1e-5)
 
