@@ -20,7 +20,7 @@ from . import tensor as T
 __all__ = [
     "AffineAlign", "EvalReport", "DriftCurve", "DegenerateAlignment",
     "fit_products", "solve_scale_shift", "least_squares_align",
-    "apply_align", "absrel", "delta1", "invert_disparity",
+    "apply_align", "absrel", "delta1", "invert_disparity", "gt_inverse",
     "eval_first_frame", "eval_global", "scale_drift_curve",
     "DEPTH_CLIP", "DELTA1_THRESHOLD",
 ]
@@ -145,8 +145,8 @@ def _sequence(pred, depth, valid):
     """Check one sequence: pred inverse depth, gt depth and validity must
     share one [N, H, W] shape with N >= 1, pred must be finite and depth
     positive (not NaN; +inf clips to the range) on valid pixels. Returns
-    float64 pred, gt depth clipped to the evaluation range, and the
-    boolean validity."""
+    float64 pred, gt depth clipped to the evaluation range, the boolean
+    validity and the clipped depth's gt_inverse."""
     pred = np.asarray(pred, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -157,15 +157,17 @@ def _sequence(pred, depth, valid):
                          f"{depth.shape} and {valid.shape}")
     if not np.isfinite(pred).all():
         raise ValueError("prediction has non-finite values")
+    depth = np.minimum(depth, DEPTH_CLIP)
+    return pred, depth, valid, gt_inverse(depth, valid)
+
+
+def gt_inverse(depth, valid):
+    """Ground-truth inverse depth, 0 where depth is NaN or not positive
+    (such pixels are masked out downstream); ValueError if a valid pixel's
+    depth is NaN or not positive (+inf inverts to 0)."""
     if not (depth[valid] > 0).all():
         raise ValueError("ground-truth depth has NaN or non-positive values "
                          "on valid pixels")
-    return pred, np.minimum(depth, DEPTH_CLIP), valid
-
-
-def _gt_inverse(depth):
-    # invalid (non-positive) pixels are masked out downstream; avoid the
-    # divide warning by writing zeros there
     return np.divide(1.0, depth, out=np.zeros_like(depth), where=depth > 0)
 
 
@@ -178,8 +180,8 @@ def _report(pred, depth, valid, align) -> EvalReport:
 def eval_first_frame(pred, depth, valid) -> EvalReport:
     """Fit (s, t) on frame 0 in inverse-depth space, apply to the whole
     video, pool metrics over all valid pixels of all frames."""
-    pred, depth, valid = _sequence(pred, depth, valid)
-    align = least_squares_align(pred[0], _gt_inverse(depth[0]), valid[0])
+    pred, depth, valid, gt_inv = _sequence(pred, depth, valid)
+    align = least_squares_align(pred[0], gt_inv[0], valid[0])
     return _report(pred, depth, valid, align)
 
 
@@ -188,9 +190,9 @@ def eval_global(pred, depth, valid, horizon: int | None = None) -> EvalReport:
     (None = all frames); metrics over the same horizon."""
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1 or None, got {horizon}")
-    pred, depth, valid = _sequence(pred, depth, valid)
-    pred, depth, valid = pred[:horizon], depth[:horizon], valid[:horizon]
-    align = least_squares_align(pred, _gt_inverse(depth), valid)
+    pred, depth, valid, gt_inv = (a[:horizon]
+                                  for a in _sequence(pred, depth, valid))
+    align = least_squares_align(pred, gt_inv, valid)
     return _report(pred, depth, valid, align)
 
 
@@ -229,9 +231,9 @@ def scale_drift_curve(sequences, window: int = 4) -> DriftCurve:
         raise ValueError(f"smoothing window must be >= 1, got {window}")
     per_seq: list[np.ndarray] = []
     for seq in sequences:
-        pred, depth, valid = _sequence(*seq)
-        s = np.array([least_squares_align(p, _gt_inverse(d), m).scale
-                      for p, d, m in zip(pred, depth, valid)])
+        pred, _, valid, gt_inv = _sequence(*seq)
+        s = np.array([least_squares_align(p, g, m).scale
+                      for p, g, m in zip(pred, gt_inv, valid)])
         if s[0] == 0:
             raise DegenerateAlignment("frame-0 scale is zero")
         # |s0| in the denominator keeps drift non-negative even when the

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .align import eval_first_frame, eval_global, scale_drift_curve
+from .align import (eval_first_frame, eval_global, gt_inverse,
+                    scale_drift_curve)
 from .data import (SceneSpec, Primitive, generate_sequence, load_sequence,
                    read_pfm, save_sequence, write_pfm)
 from .losses import (AugmentConfig, LossWeights, TrainConfig, Trainer)
@@ -106,7 +107,7 @@ def cmd_train(args) -> int:
     step_offset = 0
     if args.resume:
         model, extra = load_checkpoint(args.resume)
-        step_offset = int(extra.get("steps_done", 0))
+        step_offset = extra.get("steps_done", 0)
         cfg = model.cfg
         clash = [f"--{flag} {given[field]} (checkpoint: {getattr(cfg, field)})"
                  for flag, field in _MODEL_FLAGS.items()
@@ -121,8 +122,7 @@ def cmd_train(args) -> int:
     sequences = []
     for mpath in _manifests(args.data):
         rgb, depth, valid = load_sequence(mpath)
-        gt_inv = np.where(valid, 1.0 / np.maximum(depth, 1e-6), 0.0)
-        sequences.append((rgb, gt_inv.astype(np.float32), valid))
+        sequences.append((rgb, gt_inverse(depth, valid), valid))
     cfg = TrainConfig(learning_rate=args.lr, steps=args.steps,
                       batch_sequences=args.batch, cosine_schedule=args.cosine,
                       seed=args.seed)

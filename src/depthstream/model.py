@@ -2,7 +2,7 @@
 
 A frozen patchify encoder feeds a trainable head that alternates per-frame
 MLP blocks with temporal attention modules, finishing in a per-patch
-inverse-depth readout upsampled to full resolution. The head runs either
+inverse-depth readout upsampled to full resolution. One head body runs
 batched (training, banded mask) or frame-by-frame (streaming, cached
 windows); the two are equivalent.
 """
@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -49,12 +48,10 @@ class ModelConfig:
 
     def __post_init__(self):
         ints = [f.name for f in fields(self) if f.type == "int"]
-        for name in ints:  # 16.5, "16" and None are not integers
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}") from None
+        for name in ints:  # 16.5, "16", None and True are not integers
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         small = [n for n in ints if n != "seed" and getattr(self, n) < 1]
         if small:
             raise ValueError(f"{', '.join(small)} must be >= 1")
@@ -209,23 +206,29 @@ class DepthModel:
                              cfg.width // cfg.patch_size))
         return T.upsample_nearest(grid, cfg.patch_size)
 
-    def head_forward_batch(self, features: np.ndarray,
-                           context: int | None = None) -> Tensor:
-        """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask.
-        The head runs token-major, [S, N, C], up to the readout."""
+    def _head(self, features: np.ndarray, motion) -> Tensor:
+        """The head body of both modes: [N, S, C_enc] features -> [S, N, C]
+        before the readout, token-major, with motion(i, h) running motion
+        module i. Malformed features raise ValueError before any op runs."""
         feats = np.asarray(features, dtype=np.float32)
         cfg = self.cfg
         if feats.ndim != 3 or len(feats) < 1 or \
                 feats.shape[1:] != (cfg.tokens, cfg.encoder_channels):
-            raise ValueError(f"batch pass takes features [N >= 1, {cfg.tokens}"
-                             f", {cfg.encoder_channels}], got {feats.shape}")
-        c = cfg.context if context is None else context
+            raise ValueError(f"head takes features [N >= 1, {cfg.tokens}, "
+                             f"{cfg.encoder_channels}], got {feats.shape}")
         # a view of the constant features: no tape node
         h = T.linear(feats.transpose(1, 0, 2), self.w_in, self.b_in)
-        for blk, mm in zip(self.blocks, self.motions):
-            h = blk.forward(h)
-            h = motion_module_forward_batch(h, c, fold(mm))
-        return self._readout(T.transpose(h, (1, 0, 2)), len(feats))
+        for i, blk in enumerate(self.blocks):
+            h = motion(i, blk.forward(h))
+        return h
+
+    def head_forward_batch(self, features: np.ndarray,
+                           context: int | None = None) -> Tensor:
+        """[N, S, C_enc] features -> [N, H, W] inverse depth, banded mask."""
+        c = self.cfg.context if context is None else context
+        h = self._head(features, lambda i, h: motion_module_forward_batch(
+            h, c, fold(self.motions[i])))
+        return self._readout(T.transpose(h, (1, 0, 2)), h.shape[1])
 
     def forward_batch(self, rgb_seq: np.ndarray,
                       context: int | None = None) -> np.ndarray:
@@ -238,10 +241,6 @@ class DepthModel:
         return StreamingSession(self, context=context,
                                 cache_modulus=cache_modulus,
                                 precision=precision)
-
-
-class SessionMisuse(ValueError):
-    """Streaming session offered a frame it cannot take."""
 
 
 class StreamingSession:
@@ -271,27 +270,19 @@ class StreamingSession:
         """Features of ONE frame [S, C_enc] -> [H, W] inverse depth.
 
         The step is all or nothing. A frame of the wrong shape or with a
-        non-finite value raises SessionMisuse before any cache is written;
+        non-finite value raises ValueError before any cache is written;
         any later raise (NonFiniteError from a bank or the readout) puts
         every bank back as it was. Either way the session goes on as if the
         frame had never been offered.
         """
         feats = np.asarray(features, dtype=np.float32)
-        cfg = self.model.cfg
-        if feats.shape != (cfg.tokens, cfg.encoder_channels):
-            raise SessionMisuse(
-                f"stream step takes one {cfg.tokens}x"
-                f"{cfg.encoder_channels} frame, got shape {feats.shape}")
         if not np.isfinite(feats).all():
-            raise SessionMisuse("stream step takes finite features")
+            raise ValueError("stream step takes finite features")
         saved = [bank._entries.copy() for bank in self.banks]
         try:
-            # one frame, token-major [S, 1, C]: the attention kernel's layout
-            h = T.linear(feats[:, None], self.model.w_in, self.model.b_in)
-            for blk, folded, bank in zip(self.model.blocks, self.folded,
-                                         self.banks):
-                h = blk.forward(h)
-                h = motion_module_forward_stream(h, bank, folded)
+            h = self.model._head(feats[None], lambda i, h: (
+                motion_module_forward_stream(h, self.banks[i],
+                                             self.folded[i])))
             return self.model._readout(h, 1).data[0]
         except BaseException:
             for bank, entries in zip(self.banks, saved):
@@ -344,9 +335,17 @@ def load_checkpoint(path) -> tuple[DepthModel, dict]:
             raise ValueError("bad checkpoint config: not a JSON object")
         extra = cfg.pop("extra", {})
         try:
-            cfg["fusion_factors"] = tuple(cfg.get("fusion_factors",
-                                                  (4, 2, 1, 0.5)))
-            cfg = ModelConfig(**cfg)
+            steps = extra.get("steps_done", 0) if isinstance(extra, dict) \
+                else None
+            if type(steps) is not int or steps < 0:
+                raise ValueError(f"extra must be an object whose steps_done "
+                                 f"is an integer >= 0, got {extra!r}")
+            factors = cfg.get("fusion_factors", [4, 2, 1, 0.5])
+            if not isinstance(factors, list) or \
+                    any(type(f) not in (int, float) for f in factors):
+                raise ValueError(f"fusion_factors must be a list of numbers,"
+                                 f" got {factors!r}")
+            cfg = ModelConfig(**{**cfg, "fusion_factors": tuple(factors)})
         except (TypeError, ValueError) as e:
             raise ValueError(f"bad checkpoint config: {e}") from None
         shapes = [shape for part in _layout(cfg) for shape, _ in part]

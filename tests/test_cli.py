@@ -121,6 +121,28 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_bad_ground_truth_is_usage_error(self, tmp_path, capsys, value):
+        # train refuses what eval refuses, before --out exists
+        data = tmp_path / "data"
+        assert run("gen", "--out", str(data), "--frames", "3",
+                   "--sequences", "1", "--height", "16", "--width", "16",
+                   "--invalid-fraction", "0.2") == 0
+        _, depth_name, valid_name = read_manifest(
+            data / "seq000.manifest").entries[1]
+        depth = read_pfm(data / depth_name)
+        row, col = np.argwhere(read_pfm(data / valid_name) > 0.5)[0]
+        depth[row, col] = value
+        write_pfm(data / depth_name, depth)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("train", "--data", str(data), "--out", str(out),
+                   "--steps", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: ground-truth depth has NaN or non-positive values on "
+            "valid pixels\n")
+        assert not out.exists()
+
     def test_missing_data_dir_is_usage_error(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")) == 1
@@ -299,7 +321,9 @@ class TestInference:
 
     @pytest.mark.parametrize("fault", [
         "header_cut", "unknown_config_key", "previous_magic", "config_list",
-        "config_string", "fusion_factors_int", "context_float"])
+        "config_string", "fusion_factors_int", "context_float",
+        "fusion_factors_string", "context_bool", "extra_int",
+        "steps_done_negative", "steps_done_bool"])
     def test_bad_checkpoint_header_is_usage_error(self, pipeline, tmp_path,
                                                   capsys, fault):
         raw = pipeline["ckpt"].read_bytes()
@@ -308,7 +332,13 @@ class TestInference:
         cfg = json.loads(raw[start:end])
         config = {"config_list": [], "config_string": "x",
                   "fusion_factors_int": {**cfg, "fusion_factors": 5},
-                  "context_float": {**cfg, "context": 16.5}}.get(fault)
+                  "context_float": {**cfg, "context": 16.5},
+                  "fusion_factors_string": {**cfg, "fusion_factors": "ab"},
+                  "context_bool": {**cfg, "context": True},
+                  "extra_int": {**cfg, "extra": 5},
+                  "steps_done_negative": {**cfg, "extra": {"steps_done": -3}},
+                  "steps_done_bool": {**cfg, "extra": {"steps_done": True}},
+                  }.get(fault)
         if config is not None:
             blob = json.dumps(config).encode()
             raw = (raw[:start - 4] + struct.pack("<I", len(blob)) + blob
@@ -329,6 +359,11 @@ class TestInference:
             assert "b'DSTM0001', not b'DSTM0002'" in err
         if config is not None:
             assert "bad checkpoint config" in err
+        assert not (tmp_path / "out").exists()
+        # train --resume reads the same header, its extra included
+        assert run("train", "--data", str(pipeline["data"]), "--out",
+                   str(tmp_path / "out"), "--resume", str(ckpt)) == 1
+        assert capsys.readouterr().err.count("error:") == 1
         assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,7 @@ import pytest
 
 from depthstream import tensor as T
 from depthstream.model import (CHECKPOINT_MAGIC, DepthModel, ModelConfig,
-                               SessionMisuse, load_checkpoint,
-                               save_checkpoint)
+                               load_checkpoint, save_checkpoint)
 from depthstream.tensor import Tape
 
 
@@ -133,6 +132,32 @@ class TestBatchForward:
         assert axes == [(1, 0), (0, 2, 1)] * 2 + [(1, 0, 2)]
 
 
+def test_op_counts(monkeypatch):
+    """Tensor ops per stream frame and per batch pass on the default
+    config, pinned. The small stream is bound by Python dispatch, so an
+    added op shows here before it shows in a timing. A change that moves
+    a count updates it and says why in CHANGES.md."""
+    calls = []
+    finish = T._finish
+    monkeypatch.setattr(T, "_finish",
+                        lambda *a: calls.append(a) or finish(*a))
+    model = DepthModel(ModelConfig(seed=1))
+    feats = model.encoder.encode_sequence(rand_rgb(32, model.cfg, seed=16))
+
+    def ops(step, *args):
+        calls.clear()
+        step(*args)
+        return len(calls)
+
+    session = model.new_session()
+    # until the window is full (15 frames), each of the two modules
+    # slices its position table to the window's ages: one more op
+    assert [ops(session.head_forward_stream, f) for f in feats[:18]] == \
+        [38] * 15 + [36] * 3
+    assert [ops(model.head_forward_batch, feats[:n]) for n in (1, 8, 32)] \
+        == [55, 61, 59]
+
+
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("n_kind", ["one", "c_minus_1", "c", "c_plus_5",
                                         "three_c"])
@@ -209,7 +234,7 @@ class TestSession:
 
     def test_multi_frame_step_rejected(self, model, cfg):
         session = model.new_session()
-        with pytest.raises(SessionMisuse):
+        with pytest.raises(ValueError):
             session.head_forward_stream(np.zeros((2, cfg.tokens,
                                                   cfg.encoder_channels)))
 
@@ -228,9 +253,9 @@ class TestSession:
         for i, f in enumerate(feats):
             if i == 3:
                 for b in bad:
-                    with pytest.raises(SessionMisuse):
+                    with pytest.raises(ValueError):
                         session.head_forward_stream(b)
-                with pytest.raises(SessionMisuse):
+                with pytest.raises(ValueError):
                     session.step_rgb(nan_rgb)
             got.append(session.head_forward_stream(f))
         np.testing.assert_array_equal(np.stack(got), want)
@@ -472,7 +497,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("context", 16.5), ("patch_size", "8"), ("head_channels", 16.0),
-        ("seed", None), ("height", [32])])
+        ("seed", None), ("height", [32]), ("context", True),
+        ("seed", False), ("width", np.True_)])
     def test_int_field_that_is_not_an_integer_rejected(self, field, value):
         with pytest.raises(ValueError,
                            match=f"^{field} must be an integer, got "):
@@ -482,7 +508,12 @@ class TestConfigValidation:
         assert ModelConfig(context=np.int64(4)).context == 4
 
     @pytest.mark.parametrize("config", [
-        [], "x", {"fusion_factors": 5}, {"context": 16.5}], ids=repr)
+        [], "x", {"fusion_factors": 5}, {"context": 16.5},
+        {"fusion_factors": "ab"}, {"fusion_factors": [4, "2"]},
+        {"fusion_factors": [4, True]}, {"context": True}, {"extra": 5},
+        {"extra": None}, {"extra": {"steps_done": -3}},
+        {"extra": {"steps_done": True}}, {"extra": {"steps_done": 2.0}}],
+        ids=repr)
     def test_malformed_checkpoint_config_refused(self, tmp_path, config):
         blob = json.dumps(config).encode()
         path = tmp_path / "bad.ckpt"
